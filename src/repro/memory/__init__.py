@@ -1,20 +1,16 @@
 """Simplified GPU memory hierarchy: L1 slices, shared L2, HBM, scratchpad."""
 
 from .cache import Cache, CacheStats
-from .coalescer import Coalescer
 from .dram import DRAM, DRAMStats
-from .request import AccessResult, MemoryRequest
 from .shared_memory import SharedMemory, SharedMemoryStats
-from .subsystem import MemorySubsystem, build_dram, build_l2
+from .subsystem import AccessResult, MemorySubsystem, build_dram, build_l2
 
 __all__ = [
     "Cache",
     "CacheStats",
-    "Coalescer",
     "DRAM",
     "DRAMStats",
     "AccessResult",
-    "MemoryRequest",
     "SharedMemory",
     "SharedMemoryStats",
     "MemorySubsystem",

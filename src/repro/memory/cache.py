@@ -8,13 +8,23 @@ merge, and fills install the line with LRU replacement.
 The model tracks *when* a line's fill completes so that a request arriving
 while its line is still in flight is merged and inherits the in-flight
 completion time rather than issuing a duplicate request downstream.
+
+In-flight fills sit in a ``(fill_cycle, seq, line)`` min-heap beside the
+line → fill-cycle map, so retiring them costs O(completed fills) rather
+than a scan of every outstanding miss.  Fills that complete by the same
+probe install in allocation (``seq``) order: LRU state and evictions are
+those of a scan over the fills in the order they were allocated.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
+from operator import itemgetter
+from typing import Dict, List, Optional, Tuple
+
+_SEQ = itemgetter(1)
 
 
 @dataclass
@@ -60,8 +70,10 @@ class Cache:
         self._sets: Dict[int, OrderedDict] = {}
         # line address -> cycle the in-flight fill completes
         self._mshr: Dict[int, int] = {}
-        # earliest in-flight completion; guards the drain scan
-        self._mshr_min = 0
+        # min-heap of (fill_cycle, seq, line), one entry per in-flight line;
+        # seq is the allocation order fills install in
+        self._fills: List[Tuple[int, int, int]] = []
+        self._seq = 0
 
     # -- queries -------------------------------------------------------------
 
@@ -103,9 +115,21 @@ class Cache:
     def allocate_miss(self, line_address: int, fill_cycle: int) -> None:
         """Register a miss whose fill will complete at ``fill_cycle``."""
         self.stats.misses += 1
-        if not self._mshr or fill_cycle < self._mshr_min:
-            self._mshr_min = fill_cycle
-        self._mshr[line_address] = fill_cycle
+        mshr = self._mshr
+        if line_address in mshr:
+            # Re-targeting an in-flight fill keeps its allocation slot (the
+            # subsystem never does this: it merges into in-flight lines).
+            mshr[line_address] = fill_cycle
+            fills = self._fills
+            for i, (_, seq, line) in enumerate(fills):
+                if line == line_address:
+                    fills[i] = (fill_cycle, seq, line)
+                    break
+            heapify(fills)
+            return
+        mshr[line_address] = fill_cycle
+        heappush(self._fills, (fill_cycle, self._seq, line_address))
+        self._seq += 1
 
     def install(self, line_address: int) -> None:
         """Install a line (on fill completion)."""
@@ -125,19 +149,28 @@ class Cache:
 
     def _drain_mshrs(self, now: int) -> None:
         """Retire completed fills: install their lines and free the MSHRs."""
-        if not self._mshr or now < self._mshr_min:
+        fills = self._fills
+        if not fills or now < fills[0][0]:
             return
-        done = [addr for addr, t in self._mshr.items() if t <= now]  # simcheck: hot-ok -- only reached when a fill completed (guarded by _mshr_min); snapshot needed before deletion
-        for addr in done:
-            del self._mshr[addr]
-            self.install(addr)
-        if self._mshr:
-            self._mshr_min = min(self._mshr.values())
+        entry = heappop(fills)
+        if not fills or now < fills[0][0]:
+            del self._mshr[entry[2]]
+            self.install(entry[2])
+            return
+        done = [entry]  # simcheck: hot-ok -- only reached when two or more fills completed by the same probe
+        while fills and fills[0][0] <= now:
+            done.append(heappop(fills))
+        done.sort(key=_SEQ)
+        for _, _, line in done:
+            del self._mshr[line]
+            self.install(line)
 
     def flush(self) -> None:
         """Drop all resident lines and in-flight fills (test helper)."""
         self._sets.clear()
         self._mshr.clear()
+        self._fills.clear()
+        self._seq = 0
 
     def begin_run(self) -> None:
         """Cold-start the cache for a new kernel launch.
@@ -151,4 +184,5 @@ class Cache:
         """
         self._sets.clear()
         self._mshr.clear()
-        self._mshr_min = 0
+        self._fills.clear()
+        self._seq = 0

@@ -1,4 +1,4 @@
-"""Per-SM memory subsystem: coalescer → L1 → L2 → DRAM, plus shared memory.
+"""Per-SM memory subsystem: L1 → L2 → DRAM, plus shared memory.
 
 Each SM owns an L1 slice and a shared-memory scratchpad; the L2 and DRAM are
 chip-level and shared by all SMs (pass the same instances to every
@@ -8,18 +8,28 @@ completion cycle, which the LDST execution unit uses as the writeback time.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Optional, TYPE_CHECKING
 
 from ..config import GPUConfig, MemoryConfig
 from ..isa import Instruction, MemRef
 from .cache import Cache
-from .coalescer import Coalescer
 from .dram import DRAM
-from .request import AccessResult
 from .shared_memory import SharedMemory
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..obs import Tracer
+
+
+@dataclass(frozen=True)
+class AccessResult:
+    """Outcome of sending a warp's transactions into the hierarchy."""
+
+    completion_cycle: int
+    l1_hits: int
+    l1_misses: int
+    l2_hits: int
+    l2_misses: int
 
 
 def build_l2(mem: MemoryConfig) -> Cache:
@@ -54,7 +64,9 @@ class MemorySubsystem:
     ) -> None:
         mem = config.memory
         self.config = config
-        self.coalescer = Coalescer(mem.l1_line_bytes)
+        if mem.l1_line_bytes <= 0 or mem.l1_line_bytes & (mem.l1_line_bytes - 1):
+            raise ValueError("l1_line_bytes must be a positive power of two")
+        self._line_bytes = mem.l1_line_bytes
         self.l1 = Cache(
             size_bytes=mem.l1_size_bytes,
             line_bytes=mem.l1_line_bytes,
@@ -90,53 +102,78 @@ class MemorySubsystem:
 
     def access_global(self, mem: MemRef, now: int) -> AccessResult:
         """Send one warp's coalesced global transactions into the hierarchy."""
-        requests = self.coalescer.expand(mem)
-        l1_hits = l1_misses = l2_hits = l2_misses = 0
-        completion = now
-        for i, req in enumerate(requests):
-            # One L1 tag port: back-to-back transactions of the same warp
-            # instruction serialize one per cycle.
-            t_issue = max(now + i, self._l1_port_free)
-            self._l1_port_free = t_issue + 1
-            hit, inflight = self.l1.probe(req.line_address, t_issue)
-            if hit:
-                self.l1.record_hit()
-                l1_hits += 1
-                t_done = t_issue + self.l1.hit_latency
-            elif inflight is not None:
-                self.l1.record_merge()
-                l1_misses += 1
-                t_done = max(inflight, t_issue + self.l1.hit_latency)
-            else:
-                l1_misses += 1
-                t_done, was_l2_hit = self._access_l2(req.line_address, t_issue)
-                if was_l2_hit:
-                    l2_hits += 1
-                else:
-                    l2_misses += 1
-                self.l1.allocate_miss(req.line_address, t_done)
-            completion = max(completion, t_done)
-        return AccessResult(  # simcheck: hot-ok -- one result record per warp memory instruction, not per cycle
-            completion_cycle=completion,
-            l1_hits=l1_hits,
-            l1_misses=l1_misses,
-            l2_hits=l2_hits,
-            l2_misses=l2_misses,
+        l1, l2 = self.l1.stats, self.l2.stats
+        l1_hits, l1_misses, l2_hits, l2_misses = l1.hits, l1.misses, l2.hits, l2.misses
+        done = self._access_lines(mem.base_address // self._line_bytes, mem.num_lines, now)
+        return AccessResult(
+            completion_cycle=done,
+            l1_hits=l1.hits - l1_hits,
+            l1_misses=l1.misses - l1_misses,
+            l2_hits=l2.hits - l2_hits,
+            l2_misses=l2.misses - l2_misses,
         )
 
-    def _access_l2(self, line_address: int, now: int) -> tuple[int, bool]:
+    def _access_lines(self, base_line: int, num_lines: int, now: int) -> int:
+        """Completion cycle of lines ``base_line .. base_line+num_lines-1``.
+
+        Traces record each warp instruction's coalescing outcome as a run of
+        consecutive lines.  The L1 probe (and its drain guard) is inlined;
+        L1 hit/merge counts are added once per access.
+        """
+        l1 = self.l1
+        sets, mshr, fills = l1._sets, l1._mshr, l1._fills
+        num_sets, hit_latency = l1.num_sets, l1.hit_latency
+        port = self._l1_port_free
+        hits = merges = 0
+        completion = now
+        for i in range(num_lines):
+            line = base_line + i
+            # One L1 tag port: back-to-back transactions of the same warp
+            # instruction serialize one per cycle.
+            t_issue = now + i
+            if t_issue < port:
+                t_issue = port
+            port = t_issue + 1
+            if fills and fills[0][0] <= t_issue:
+                l1._drain_mshrs(t_issue)
+            s = sets.get(line % num_sets)
+            if s is not None and line in s:
+                s.move_to_end(line)
+                hits += 1
+                t_done = t_issue + hit_latency
+            else:
+                inflight = mshr.get(line)
+                if inflight is not None:
+                    merges += 1
+                    t_done = t_issue + hit_latency
+                    if inflight > t_done:
+                        t_done = inflight
+                else:
+                    t_done = self._access_l2(line, t_issue + hit_latency)
+                    l1.allocate_miss(line, t_done)
+            if t_done > completion:
+                completion = t_done
+        self._l1_port_free = port
+        stats = l1.stats
+        stats.hits += hits
+        stats.misses += merges
+        stats.mshr_merges += merges
+        return completion
+
+    def _access_l2(self, line_address: int, t_at_l2: int) -> int:
+        """Completion cycle of an L1 miss reaching the L2 at ``t_at_l2``
+        (L1 miss detection + NoC hop after the L1 probe)."""
         l2 = self.l2
-        t_at_l2 = now + self.l1.hit_latency  # L1 miss detection + NoC hop
         hit, inflight = l2.probe(line_address, t_at_l2)
         if hit:
             l2.record_hit()
-            return t_at_l2 + l2.hit_latency, True
+            return t_at_l2 + l2.hit_latency
         if inflight is not None:
             l2.record_merge()
-            return max(inflight, t_at_l2 + l2.hit_latency), False
+            return max(inflight, t_at_l2 + l2.hit_latency)
         t_done = self.dram.access(t_at_l2, line_address) + l2.hit_latency
         l2.allocate_miss(line_address, t_done)
-        return t_done, False
+        return t_done
 
     # -- shared memory -----------------------------------------------------------
 
@@ -148,10 +185,11 @@ class MemorySubsystem:
     def access(self, inst: Instruction, now: int, shared_conflict_degree: int = 1) -> int:
         """Completion cycle for a memory instruction's data."""
         if inst.opcode.is_global_memory:
-            assert inst.mem is not None
-            result = self.access_global(inst.mem, now)
-            done = result.completion_cycle
+            mem = inst.mem
+            assert mem is not None
             if self.tracer is not None:
+                result = self.access_global(mem, now)
+                done = result.completion_cycle
                 self.tracer.mem_access(
                     now,
                     self._sm_id,
@@ -160,7 +198,8 @@ class MemorySubsystem:
                     l1_hits=result.l1_hits,
                     l1_misses=result.l1_misses,
                 )
-            return done
+                return done
+            return self._access_lines(mem.base_address // self._line_bytes, mem.num_lines, now)
         if inst.opcode.is_shared_memory:
             done = self.access_shared(now, shared_conflict_degree)
             if self.tracer is not None:

@@ -123,10 +123,12 @@ def compiled_code_key(name: str, mapping_name: str, num_banks: int) -> str:
     return code_key(PROFILE_VERSION, asdict(get_profile(name)), mapping_name, num_banks)
 
 
-#: In-process compiled-kernel memo: (app, mapping, num_banks) → KernelTrace.
+#: In-process compiled-kernel memo: app → {(mapping, num_banks) → KernelTrace}.
 #: Keeps one artifact per combination alive per process, so an engine
 #: worker simulating one app under many designs compiles/loads it once.
-_COMPILED_MEMO: Dict[Tuple[str, str, int], KernelTrace] = {}
+#: Grouping by app lets a second bank layout reuse the app's synthesized
+#: trace; ``clear()`` forgets both.
+_COMPILED_MEMO: Dict[str, Dict[Tuple[str, int], KernelTrace]] = {}
 
 
 def get_compiled_kernel(
@@ -141,13 +143,15 @@ def get_compiled_kernel(
     Resolution order: in-process memo (``source="memory"``), the
     content-addressed disk cache (``"disk"``; default location
     :func:`repro.trace.default_cache_dir`, pass ``cache_dir`` to redirect
-    or ``use_disk=False`` to skip it), else synthesize + compile + store
-    (``"compile"``).  The disk key covers ``PROFILE_VERSION``, the full
-    profile payload, the bank-mapping name and the bank count, so any of
-    them changing invalidates the entry.
+    or ``use_disk=False`` to skip it), else compile + store (``"compile"``).
+    A compile synthesizes the app only if no other bank layout of it is
+    memoized; otherwise it adds this layout's bank table to that trace.
+    The disk key covers ``PROFILE_VERSION``, the full profile payload, the
+    bank-mapping name and the bank count, so any of them changing
+    invalidates the entry.
     """
-    memo_key = (name, mapping_name, num_banks)
-    cached = _COMPILED_MEMO.get(memo_key)
+    layouts = _COMPILED_MEMO.get(name, {})
+    cached = layouts.get((mapping_name, num_banks))
     if cached is not None:
         return cached, "memory"
 
@@ -158,7 +162,9 @@ def get_compiled_kernel(
     key = compiled_code_key(name, mapping_name, num_banks)
 
     def _build() -> KernelTrace:
-        kernel = build_kernel(profile)
+        kernel = next(iter(layouts.values()), None)
+        if kernel is None:
+            kernel = build_kernel(profile)
         compile_kernel(kernel, mapper, num_banks)
         return kernel
 
@@ -166,7 +172,8 @@ def get_compiled_kernel(
     if use_disk:
         disk_dir = cache_dir if cache_dir is not None else default_cache_dir()
     kernel, source = get_or_build(disk_dir, key, _build)
-    _COMPILED_MEMO[memo_key] = kernel
+    layouts[(mapping_name, num_banks)] = kernel
+    _COMPILED_MEMO[name] = layouts
     return kernel, source
 
 

@@ -70,6 +70,31 @@ class TestResolutionOrder:
         assert list(tmp_path.iterdir()) == []
 
 
+class TestOneSynthesisPerApp:
+    def test_second_layout_reuses_the_synthesized_trace(self, tmp_path, monkeypatch):
+        from repro.experiments.designs import get_design
+
+        first, second = get_design("baseline"), get_design("fully_connected")
+        layouts = [(c.bank_mapping, c.rf_banks_per_subcore) for c in (first, second)]
+        assert layouts[0] != layouts[1]
+        fresh = stats_digest(simulate(get_kernel(APP), second).to_payload())
+        builds = []
+        real_build = registry.build_kernel
+        monkeypatch.setattr(
+            registry, "build_kernel", lambda p: builds.append(p.name) or real_build(p)
+        )
+        k1, src1 = get_compiled_kernel(APP, *layouts[0], cache_dir=tmp_path)
+        k2, src2 = get_compiled_kernel(APP, *layouts[1], cache_dir=tmp_path)
+        assert (src1, src2) == ("compile", "compile")
+        assert builds == [APP]
+        assert k2 is k1
+        # The shared trace simulates the second layout exactly as a fresh one.
+        assert stats_digest(simulate(k2, second).to_payload()) == fresh
+        registry._COMPILED_MEMO.clear()  # a fresh process synthesizes again
+        get_compiled_kernel(APP, *layouts[0], use_disk=False)
+        assert builds == [APP, APP]
+
+
 class TestDiskInvalidation:
     def test_layout_change_misses_disk(self, tmp_path):
         get_compiled_kernel(APP, *LAYOUT, cache_dir=tmp_path)

@@ -80,3 +80,28 @@ class TestGoldenPipeline:
         )
         # 8 warps x (64 FMA + BAR + EXIT)
         assert stats.instructions == 8 * 66
+
+
+class TestGoldenMemoryDigests:
+    """Whole-stats digests of memory-bound Fig. 9 points.
+
+    Copied from ``perfbench/reference.json`` (the benchmark's oracle), so
+    a change to L1/L2/MSHR timing, install order or LRU state that moves
+    any statistic fails here, not only in the benchmark.
+    """
+
+    @pytest.mark.parametrize(
+        "app,design,digest",
+        [
+            ("pb-lbm", "baseline", "72b76d2b7d55e7d2"),
+            ("pb-lbm", "shuffle_rba", "344c753347985129"),
+            ("ply-mvt", "baseline", "43b657840ccd6ee8"),
+            ("ply-mvt", "shuffle_rba", "721d70d83e161ded"),
+        ],
+    )
+    def test_membound_digest(self, app, design, digest):
+        from repro.experiments.designs import get_design
+        from repro.obs import stats_digest
+
+        stats = simulate(get_kernel(app), get_design(design), num_sms=1)
+        assert stats_digest(stats.to_payload()) == digest

@@ -1,5 +1,5 @@
-"""Tests for the memory hierarchy: cache, MSHRs, DRAM, shared memory,
-coalescer and the composed subsystem."""
+"""Tests for the memory hierarchy: cache, MSHRs, DRAM, shared memory and
+the composed subsystem."""
 
 import pytest
 from hypothesis import given, settings
@@ -10,7 +10,6 @@ from repro.isa import Instruction, MemRef, Opcode
 from repro.memory import (
     DRAM,
     Cache,
-    Coalescer,
     MemorySubsystem,
     SharedMemory,
     build_dram,
@@ -142,22 +141,6 @@ class TestSharedMemory:
             s.access(0, conflict_degree=0)
 
 
-class TestCoalescer:
-    def test_expansion(self):
-        co = Coalescer(128)
-        reqs = co.expand(MemRef(base_address=256, num_lines=3))
-        assert [r.line_address for r in reqs] == [2, 3, 4]
-
-    def test_store_flag_propagates(self):
-        co = Coalescer(128)
-        reqs = co.expand(MemRef(0, num_lines=2, is_store=True))
-        assert all(r.is_store for r in reqs)
-
-    def test_line_bytes_must_be_power_of_two(self):
-        with pytest.raises(ValueError):
-            Coalescer(100)
-
-
 class TestMemorySubsystem:
     def make(self):
         return MemorySubsystem(volta_v100())
@@ -198,6 +181,25 @@ class TestMemorySubsystem:
         # SM b misses its own L1 but hits the shared L2 once the line landed
         rb = b.access_global(MemRef(0, num_lines=1), now=ra.completion_cycle + 1)
         assert rb.l2_hits == 1
+
+    def test_access_touches_consecutive_lines(self):
+        ms = self.make()
+        ms.access_global(MemRef(base_address=256, num_lines=3), now=0)
+        in_flight = [ms.l1.probe(line, now=1)[1] is not None for line in range(1, 6)]
+        assert in_flight == [False, True, True, True, False]
+
+    def test_stores_take_the_load_path(self):
+        load = self.make().access_global(MemRef(0, num_lines=2), now=0)
+        store = self.make().access_global(MemRef(0, num_lines=2, is_store=True), now=0)
+        assert store == load
+
+    def test_l1_line_bytes_must_be_power_of_two(self):
+        import dataclasses
+
+        cfg = volta_v100()
+        bad = cfg.replace(memory=dataclasses.replace(cfg.memory, l1_line_bytes=100))
+        with pytest.raises(ValueError, match="power of two"):
+            MemorySubsystem(bad)
 
     def test_shared_access_uses_conflict_degree(self):
         ms = self.make()

@@ -42,17 +42,9 @@ Observability options (see repro.obs and docs/observability.md)::
                        # batches run (done/failed/in-flight, per-worker
                        # last progress, ETA)
 
-Robustness options (see docs/robustness.md)::
-
-    --journal PATH     # append a crash-safe journal line per completed
-                       # point (key + stats digest); the durable record
-                       # of a batch's progress (default when tracing:
-                       # <trace-dir>/journal.jsonl)
-    --resume           # cross-check disk-cached results against the
-                       # journal and re-simulate only points the journal
-                       # does not cover; implies --journal (default
-                       # path: repro-journal.jsonl).  Use after a crash,
-                       # kill or Ctrl-C ended a batch early
+Every point is cached the moment it settles, so re-running a batch that
+a crash, kill or Ctrl-C ended early simulates only the missing points
+(see docs/robustness.md).
 """
 
 from __future__ import annotations
@@ -110,8 +102,6 @@ def _parse_args(args: List[str]) -> Tuple[dict, List[str]]:
         "manifest": None,
         "metrics_dir": None,
         "status_file": None,
-        "journal": None,
-        "resume": False,
     }
     valued = {
         "--workers": "workers",
@@ -122,7 +112,6 @@ def _parse_args(args: List[str]) -> Tuple[dict, List[str]]:
         "--manifest": "manifest",
         "--metrics-dir": "metrics_dir",
         "--status-file": "status_file",
-        "--journal": "journal",
     }
     names: List[str] = []
     i = 0
@@ -136,8 +125,6 @@ def _parse_args(args: List[str]) -> Tuple[dict, List[str]]:
             opts["sanitize"] = True
         elif arg == "--trace":
             opts["trace"] = True
-        elif arg == "--resume":
-            opts["resume"] = True
         elif any(arg == f or arg.startswith(f + "=") for f in valued):
             flag, sep, value = arg.partition("=")
             if not sep:
@@ -164,10 +151,6 @@ def _parse_args(args: List[str]) -> Tuple[dict, List[str]]:
         opts["trace"] = True
     if opts["trace"] and opts["trace_dir"] is None:
         opts["trace_dir"] = "repro-traces"
-    if opts["resume"] and opts["journal"] is None and not opts["trace"]:
-        # --resume needs a journal to resume from; outside --trace (which
-        # defaults the journal beside the manifest) give it a stable name.
-        opts["journal"] = "repro-journal.jsonl"
     return opts, names
 
 
@@ -234,8 +217,6 @@ def main(argv: list[str] | None = None) -> int:
         manifest_path=opts["manifest"],
         metrics=metrics,
         status_path=opts["status_file"],
-        journal_path=opts["journal"],
-        resume=opts["resume"],
     )
 
     if opts["trace"] and not names and opts["profile_report"] is None:

@@ -109,12 +109,6 @@ CONTRACTS: Tuple[Contract, ...] = (
         "STATUS_SCHEMA_VERSION",
         ("obs/heartbeat.py",),
     ),
-    Contract(
-        "run-journal",
-        "obs/journal.py",
-        "JOURNAL_SCHEMA_VERSION",
-        ("obs/journal.py",),
-    ),
 )
 
 

@@ -11,15 +11,15 @@ inherit it with no extra plumbing (:mod:`repro.chaos.hooks`).
 Because plans are deterministic (hash draws, per-process counters, no
 RNG, no wall clock), chaos runs have a stronger oracle than "survived":
 **every fault class must produce byte-identical stats digests to a
-fault-free run**, and a killed-then-resumed batch must re-simulate only
-the points missing from its run journal.  ``python -m repro.chaos
+fault-free run**, and a killed batch, re-run, must re-simulate only the
+points missing from its cache.  ``python -m repro.chaos
 --smoke`` gates exactly that in CI; see ``docs/robustness.md`` for the
 failure model and the degradation ladder the faults exercise.
 
 CLI::
 
     python -m repro.chaos --smoke          # fault matrix, digest oracle
-    python -m repro.chaos --kill-resume    # SIGKILL mid-batch, then --resume
+    python -m repro.chaos --kill-resume    # SIGKILL mid-batch, then re-run
     python -m repro.chaos --list           # fault classes and sites
 """
 

@@ -14,11 +14,11 @@ fault-free reference, and the fault must actually have fired (checked
 through the structured manifest warning its degradation-ladder step
 emits).  A chaos run that merely "didn't crash" fails the harness.
 
-``--kill-resume`` exercises the crash/resume path end to end in real
+``--kill-resume`` exercises the crash/re-run path end to end in real
 subprocesses: an ``rba-banks`` batch is SIGKILLed by a seeded plan after
-a fixed number of journal appends, then re-run with ``--resume``; the
-second manifest must show exactly the journaled points served from disk
-and only the missing ones re-simulated.
+a fixed number of result-cache writes, then re-run plainly against the
+same cache directory; the second manifest must show every stored point
+served from disk and only the missing ones re-simulated.
 
 Exit status: 0 when every scenario holds, 1 on any violation.
 """
@@ -41,7 +41,7 @@ from .plan import FAULTS, SITES, FaultPlan, FaultRule, single_fault_plan
 SMOKE_APPS = ("rod-nw", "cg-lou")
 SMOKE_DESIGNS = ("baseline", "rba")
 
-#: Journal appends the kill-resume run survives before SIGKILL.
+#: Result-cache writes the kill-resume run survives before SIGKILL.
 KILL_AFTER = 5
 
 
@@ -73,14 +73,11 @@ def _warning_counts(manifest_path: Path) -> Dict[str, int]:
 def _fresh_run(cache_dir: Path, manifest: Path, workers: int):
     """Run the smoke grid on a brand-new engine; returns (engine, digests)."""
     from ..experiments.engine import ExperimentEngine
-    from ..trace.code_cache import reset_degradation
     from ..workloads import registry
 
     # Each scenario starts cold in this process: no compiled-kernel memo
-    # (workers fork it, which would mask code-cache faults) and a re-armed
-    # code-cache store path.
+    # (workers fork it, which would mask code-cache faults).
     registry._COMPILED_MEMO.clear()
-    reset_degradation()
     engine = ExperimentEngine(
         workers=workers, cache_dir=cache_dir, manifest_path=manifest
     )
@@ -236,7 +233,7 @@ def _run_child(cmd: List[str], env: Dict[str, str], log_path: Path) -> int:
     SIGKILLs the batch parent, its orphaned pool workers would keep a
     pipe open forever).  The child gets its own process group, which is
     swept with SIGKILL afterwards so orphaned workers from a killed run
-    can't race the resume run.
+    can't race the re-run.
     """
     with open(log_path, "w", encoding="utf-8") as log:
         proc = subprocess.Popen(
@@ -256,27 +253,18 @@ def _run_child(cmd: List[str], env: Dict[str, str], log_path: Path) -> int:
 
 
 def _kill_resume(workers: int, keep_dir: Optional[str]) -> int:
-    from ..obs import load_journal, read_manifest
+    from ..obs import read_manifest
 
     root = Path(keep_dir) if keep_dir else Path(tempfile.mkdtemp(prefix="repro-chaos-kr-"))
     root.mkdir(parents=True, exist_ok=True)
     cache = root / "cache"
-    journal = root / "journal.jsonl"
     manifest1 = root / "manifest-killed.jsonl"
-    manifest2 = root / "manifest-resumed.jsonl"
+    manifest2 = root / "manifest-rerun.jsonl"
     failures: List[str] = []
 
-    plan = single_fault_plan("kill", "journal", after=KILL_AFTER, times=1)
-    base = [
-        "rba-banks",
-        "--workers",
-        str(workers),
-        "--cache-dir",
-        str(cache),
-        "--journal",
-        str(journal),
-    ]
-    print(f"run 1: rba-banks, SIGKILL after {KILL_AFTER + 1} journal appends")
+    plan = single_fault_plan("kill", "result_write", after=KILL_AFTER, times=1)
+    base = ["rba-banks", "--workers", str(workers), "--cache-dir", str(cache)]
+    print(f"run 1: rba-banks, SIGKILL after {KILL_AFTER + 1} result-cache writes")
     code1 = _run_child(
         _repro_cmd(base + ["--manifest", str(manifest1)]),
         _child_env({PLAN_ENV: plan.dumps()}),
@@ -284,38 +272,37 @@ def _kill_resume(workers: int, keep_dir: Optional[str]) -> int:
     )
     if code1 == 0:
         failures.append("killed run exited 0 — the kill fault never fired")
-    journaled = load_journal(journal)
-    if len(journaled) != KILL_AFTER + 1:
+    stored = len(list(cache.glob("*.json")))
+    if stored != KILL_AFTER + 1:
         failures.append(
-            f"journal covers {len(journaled)} points, "
-            f"expected {KILL_AFTER + 1}"
+            f"cache holds {stored} entries, expected {KILL_AFTER + 1}"
         )
-    print(f"  exit {code1}, journal covers {len(journaled)} points")
+    print(f"  exit {code1}, cache holds {stored} entries")
 
-    print("run 2: same batch with --resume")
+    print("run 2: the same batch, re-run")
     code2 = _run_child(
-        _repro_cmd(base + ["--resume", "--manifest", str(manifest2)]),
+        _repro_cmd(base + ["--manifest", str(manifest2)]),
         _child_env(),
-        root / "run-resumed.log",
+        root / "run-rerun.log",
     )
     if code2 != 0:
         tail = ""
-        log2 = root / "run-resumed.log"
+        log2 = root / "run-rerun.log"
         if log2.exists():
             tail = log2.read_text(encoding="utf-8", errors="replace")[-400:]
-        failures.append(f"resume run exited {code2}: {tail}")
+        failures.append(f"re-run exited {code2}: {tail}")
     # A point can appear in several manifest records (disk hit first, then
     # memory hits on revisits within the experiment), so account per
     # unique point: one that ever simulated counts as re-simulated, the
     # rest were served entirely from cache.
     point_sources: Dict[str, set] = {}
-    mismatch_warns = 0
+    quarantines = 0
     if manifest2.exists():
         for rec in read_manifest(manifest2):
             source = rec.get("source")
             if source == "warning":
-                if rec.get("kind") == "journal_mismatch":
-                    mismatch_warns += 1
+                if rec.get("kind") == "cache_quarantine":
+                    quarantines += 1
                 continue
             point = rec.get("point", "")
             if point.startswith("trace:"):
@@ -329,36 +316,34 @@ def _kill_resume(workers: int, keep_dir: Optional[str]) -> int:
     print(
         f"  exit {code2}, {total_points} points: "
         f"{served} from cache, {resimulated} re-simulated, "
-        f"{mismatch_warns} journal mismatches"
+        f"{quarantines} quarantined entries"
     )
-    # Every journaled point must come back from cache; only the rest may
-    # re-simulate.  (Workers the kill orphaned can legitimately settle a
-    # few extra points to disk after the parent died, so the cache may
-    # cover slightly more than the journal — never less.)
-    if total_points and resimulated > total_points - len(journaled):
+    # Every stored point must come back from cache; only the rest may
+    # re-simulate.
+    if total_points and resimulated > total_points - stored:
         failures.append(
-            f"resume re-simulated {resimulated} points; at most "
-            f"{total_points - len(journaled)} "
-            f"({total_points} total - {len(journaled)} journaled) are missing"
+            f"re-run simulated {resimulated} points; at most "
+            f"{total_points - stored} "
+            f"({total_points} total - {stored} stored) are missing"
         )
     if total_points and resimulated + served != total_points:
         failures.append(
             f"cache hits ({served}) + re-simulations ({resimulated}) "
             f"!= {total_points} points: the batch did not complete"
         )
-    if served < len(journaled):
+    if served < stored:
         failures.append(
-            f"only {served} points served from cache; every journaled "
-            f"point ({len(journaled)}) should have been"
+            f"only {served} points served from cache; every stored "
+            f"point ({stored}) should have been"
         )
     if total_points and resimulated == 0:
         failures.append(
             "nothing re-simulated — the first run was not killed early"
         )
-    if mismatch_warns:
+    if quarantines:
         failures.append(
-            f"{mismatch_warns} journal_mismatch warning(s): the cache "
-            "changed under the journal"
+            f"{quarantines} cache_quarantine warning(s): the kill left a "
+            "torn cache entry"
         )
 
     if not keep_dir:

@@ -19,7 +19,7 @@ Plan grammar (JSON)::
         {"fault": "corrupt",  "site": "result_read", "times": 2},
         {"fault": "io_error", "site": "result_store", "times": 0},
         {"fault": "slow",     "site": "sim", "seconds": 0.05, "scope": "worker"},
-        {"fault": "kill",     "site": "journal", "after": 5}
+        {"fault": "kill",     "site": "result_write", "after": 5}
       ]
     }
 
@@ -31,10 +31,10 @@ Rule fields:
   or merely slow worker), ``corrupt`` (garble the file at the injection
   site's path — torn cache entries), ``io_error`` (raise ``OSError`` —
   a full or read-only disk), ``kill`` (``SIGKILL`` the calling process —
-  a hard crash for resume testing).
+  a hard crash for re-run testing).
 * ``site`` — one of :data:`SITES`; production hooks name the seam they
   guard (``sim``, ``result_read``/``result_write``/``result_store``,
-  ``code_read``/``code_write``/``code_store``, ``journal``).
+  ``code_read``/``code_write``/``code_store``).
 * ``match`` — an :func:`fnmatch.fnmatch` glob over the site key
   (default ``*``).
 * ``times`` — maximum firings per process (default 1; 0 = unlimited).
@@ -68,7 +68,6 @@ SITES = (
     "code_read",      # compiled-trace cache, before an entry is read
     "code_write",     # compiled-trace cache, after an entry is written
     "code_store",     # compiled-trace cache, store syscall path (io_error)
-    "journal",        # run journal, after an append (kill for resume tests)
 )
 
 #: Rule scopes relative to the process that installed the plan.

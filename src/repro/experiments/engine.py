@@ -30,15 +30,16 @@ scheduling never iterates hash-ordered sets — see ``SubCore.ready``) and
 
 Robustness is a verified *degradation ladder*, not ad-hoc handling (see
 ``docs/robustness.md`` and :mod:`repro.chaos`, which injects every fault
-class and asserts byte-identical digests): results are persisted and
-journaled per point *as they settle* (:class:`~repro.obs.RunJournal`,
-enabling ``python -m repro --resume``); corrupted cache entries are
-quarantined, never served; :data:`STORE_ERROR_THRESHOLD` consecutive
-store errors degrade the disk cache to memory-only with one structured
-warning; :data:`CIRCUIT_THRESHOLD` consecutive pool chunk failures open
-a circuit breaker that falls back to serial in-process execution; and
-Ctrl-C/SIGTERM ends a batch with a flushed journal, a manifest warning
-and a final ``interrupted`` heartbeat instead of a torn run.
+class and asserts byte-identical digests): results are persisted per
+point *as they settle*, so re-running an interrupted batch against the
+same cache directory simulates only the missing points; the disk cache
+is a checksummed :class:`~repro.store.ContentStore`, whose damaged
+entries are quarantined, never served, and whose repeated store errors
+degrade it to memory-only with one structured warning;
+:data:`CIRCUIT_THRESHOLD` consecutive pool chunk failures open a circuit
+breaker that falls back to serial in-process execution; and
+Ctrl-C/SIGTERM ends a batch with a manifest warning and a final
+``interrupted`` heartbeat instead of a torn run.
 
 Observability: the engine keeps per-point wall times and hit/miss/retry
 counters (:class:`EngineProfile`); ``python -m repro --profile`` prints
@@ -56,7 +57,6 @@ import multiprocessing
 import os
 import signal
 import sys
-import tempfile
 import threading
 import time
 from dataclasses import dataclass, field
@@ -71,12 +71,11 @@ from ..metrics import SimStats
 from ..obs import (
     Heartbeat,
     MetricsRegistry,
-    RunJournal,
     RunManifest,
-    load_journal,
     read_manifest,
     stats_digest,
 )
+from ..store import ContentStore
 from ..trace.code_cache import drain_notes as drain_code_notes
 from ..workloads import (
     PROFILE_VERSION,
@@ -95,11 +94,6 @@ CACHE_SCHEMA = 2
 DEFAULT_CACHE_DIR = Path(
     os.environ.get("REPRO_CACHE_DIR", "~/.cache/repro-sim")
 ).expanduser()
-
-#: Consecutive result-store ``OSError``s before the disk cache degrades
-#: to memory-only for the rest of the engine's lifetime (one structured
-#: ``cache_degraded`` warning instead of one error per point).
-STORE_ERROR_THRESHOLD = 3
 
 #: Consecutive failed pool chunks (crash or timeout) before the circuit
 #: breaker opens and later batches run serially in-process.
@@ -131,12 +125,9 @@ class EngineProfile:
     retries: int = 0
     disk_errors: int = 0
     #: Corrupted cache entries moved into the quarantine directory
-    #: instead of being served (result cache; the trace-code cache keeps
-    #: its own per-process tally and reports through worker notes).
+    #: instead of being served (result cache; the trace-code cache
+    #: reports through worker notes).
     quarantines: int = 0
-    #: Disk hits whose digest matched a journaled checkpoint on a
-    #: ``--resume`` run — points this run did *not* have to redo.
-    resumed: int = 0
     #: Compiled-trace artifact events observed across workers: ``compile``
     #: (synthesized + lowered + stored) vs ``disk`` (loaded from the
     #: content-addressed trace-code cache).  In-process memo hits are not
@@ -197,8 +188,6 @@ class EngineProfile:
             f"{self.code_loads} loaded from cache",
             f"sim wall time {self.total_sim_seconds():.2f}s",
         ]
-        if self.resumed:
-            lines.append(f"resumed       {self.resumed} journaled points")
         if len(self.worker_seconds) > 1:
             lines.append(
                 f"worker skew   {self.worker_skew():.2f}x max/mean over "
@@ -364,6 +353,17 @@ def _simulate_chunk(fields_list: Sequence[tuple], **kwargs) -> List[tuple]:
     return [_simulate_point(fields, **kwargs) for fields in fields_list]
 
 
+def _decode_entry(body: bytes) -> SimStats:
+    """The stats of a verified result-cache entry body."""
+    doc = json.loads(body)
+    if doc["schema"] != CACHE_SCHEMA:
+        # CACHE_SCHEMA is part of the point key, so an entry *at this
+        # path* stamped with another generation is inconsistent, not
+        # merely old: the store quarantines it and the point recomputes.
+        raise ValueError(f"schema {doc['schema']!r}")
+    return SimStats.from_payload(doc["stats"])
+
+
 class ExperimentEngine:
     """Executes simulation points with caching, fan-out and robustness."""
 
@@ -380,12 +380,14 @@ class ExperimentEngine:
         manifest_path: Optional[os.PathLike] = None,
         metrics: Optional[MetricsRegistry] = None,
         status_path: Optional[os.PathLike] = None,
-        journal_path: Optional[os.PathLike] = None,
-        resume: bool = False,
     ):
+        #: The constructor arguments, which :func:`configure` overrides.
+        self._init_kwargs = {k: v for k, v in locals().items() if k != "self"}
         self.workers = max(1, int(workers))
         self.cache_dir = Path(cache_dir) if cache_dir is not None else DEFAULT_CACHE_DIR
         self.use_disk_cache = use_disk_cache
+        #: The checksummed disk cache: ``<cache_dir>/<key>.json`` entries.
+        self.store = ContentStore(self.cache_dir, ".json", "result")
         #: Per-point wall-clock budget (seconds) when running on the pool;
         #: a point exceeding it is retried once in the parent process.
         self.timeout = timeout
@@ -418,30 +420,9 @@ class ExperimentEngine:
         self.heartbeat: Optional[Heartbeat] = (
             Heartbeat(str(status_path)) if status_path is not None else None
         )
-        #: Crash-safe run journal (``repro.obs.journal``): one atomically
-        #: appended line per settled point.  Defaults to
-        #: ``<trace_dir>/journal.jsonl`` when tracing, like the manifest.
-        if journal_path is None and self.trace_dir is not None:
-            journal_path = self.trace_dir / "journal.jsonl"
-        self.journal: Optional[RunJournal] = (
-            RunJournal(journal_path) if journal_path is not None else None
-        )
-        #: ``--resume``: journaled ``key -> digest`` checkpoints from the
-        #: interrupted run.  Disk hits matching a checkpoint count as
-        #: resumed; mismatches warn (``journal_mismatch``) and re-simulate.
-        self.resume = resume
-        self._resume_digests: Dict[str, str] = (
-            load_journal(self.journal.path)
-            if resume and self.journal is not None
-            else {}
-        )
-        #: Degradation-ladder state (see ``docs/robustness.md``): store
-        #: failures feed the memory-only degrade, chunk failures feed the
-        #: serial-fallback circuit breaker; both warn exactly once.
-        self.store_error_threshold = STORE_ERROR_THRESHOLD
+        #: Serial-fallback circuit breaker (see ``docs/robustness.md``):
+        #: consecutive chunk failures open it, with one warning.
         self.circuit_threshold = CIRCUIT_THRESHOLD
-        self._store_failures = 0
-        self._store_degraded = False
         self._pool_failures = 0
         self._circuit_open = False
         self._seen_code_notes: set = set()
@@ -484,29 +465,6 @@ class ExperimentEngine:
         if self.manifest is not None:
             self.manifest.warn(kind, detail, point=point)
 
-    def _settle(self, point: SimPoint, key: str, stats: SimStats) -> None:
-        """Persist one freshly simulated point the moment it arrives.
-
-        Memory cache, disk cache, then the journal checkpoint — in that
-        order, so a key is journaled only after the result it names is
-        durable.  Called per point as pool chunks settle (not after the
-        whole batch), which is what makes a crash at point 900/1000 lose
-        at most the in-flight points.
-        """
-        self._mem[key] = stats
-        self._store_disk(key, point, stats)
-        self._journal_point(point, key, stats)
-
-    def _journal_point(self, point: SimPoint, key: str, stats: SimStats) -> None:
-        if self.journal is None:
-            return
-        try:
-            self.journal.record(key, stats_digest(stats.to_payload()), point.label())
-        except OSError:
-            self.profile.disk_errors += 1
-            return
-        chaos_trip("journal", key, path=str(self.journal.path))
-
     # -- cache plumbing ----------------------------------------------------
 
     def memory_cache_size(self) -> int:
@@ -516,168 +474,59 @@ class ExperimentEngine:
         self._mem.clear()
 
     def cache_path(self, key: str) -> Path:
-        return self.cache_dir / f"{key}.json"
+        return self.store.path(key)
 
-    def _load_disk(self, key: str) -> Optional[SimStats]:
-        if not self.use_disk_cache:
-            return None
-        path = self.cache_path(key)
-        chaos_trip("result_read", key, path=str(path))
-        try:
-            fh = open(path, "r", encoding="utf-8")
-        except FileNotFoundError:
-            return None
-        except OSError:
-            self.profile.disk_errors += 1
-            return None
-        with fh:
-            try:
-                doc = json.load(fh)
-                if doc.get("schema") != CACHE_SCHEMA:
-                    # CACHE_SCHEMA is part of the point key, so an entry
-                    # *at this path* stamped with another generation is
-                    # inconsistent, not merely old — quarantine it like
-                    # any other corruption and recompute.
-                    raise ValueError(f"schema {doc.get('schema')!r}")
-                return SimStats.from_payload(doc["stats"])
-            except (OSError, ValueError, KeyError, TypeError):
-                # Corrupted or truncated entry: quarantine it and
-                # re-simulate — but only the exact file we read.  On a
-                # shared cache directory a parallel _store_disk may have
-                # os.replace()d a fresh, valid entry over this path
-                # between our read and the move; a blind unlink/rename
-                # would silently discard that result.  Comparing the open
-                # handle's identity with the path's current identity
-                # confines the quarantine to the corrupted file.
-                self.profile.disk_errors += 1
-                if self._quarantine_exact(
-                    path, fh, self.cache_dir / "quarantine"
-                ):
-                    self.profile.quarantines += 1
-                    self._warn(
-                        "cache_quarantine",
-                        f"corrupted result-cache entry {path.name} moved "
-                        "to quarantine/; point will re-simulate",
-                    )
-                return None
+    def _store_events(self) -> None:
+        """Mirror the store's counters into the profile; warn its notes."""
+        self.profile.disk_errors = self.store.errors
+        self.profile.quarantines = self.store.quarantines
+        for kind, detail in self.store.drain_notes():
+            self._warn(kind, detail)
 
-    @staticmethod
-    def _quarantine_exact(path: Path, fh, quarantine_dir: Path) -> bool:
-        """Move ``path`` aside only while it still names the file open as ``fh``.
+    def _lookup(self, point: SimPoint, key: str) -> Optional[SimStats]:
+        """Memory cache, then disk cache; counts the hit or the miss."""
+        stats = self._mem.get(key)
+        if stats is not None:
+            self.profile.mem_hits += 1
+            self._record(point, key, "memory", stats)
+            return stats
+        if self.use_disk_cache:
+            stats = self.store.get(key, _decode_entry)
+            self._store_events()
+        if stats is None:
+            self.profile.misses += 1
+            return None
+        self.profile.disk_hits += 1
+        self._mem[key] = stats
+        self._record(point, key, "disk", stats)
+        return stats
 
-        The corrupted entry is preserved under ``quarantine_dir`` for
-        post-mortems instead of being destroyed; when even that fails
-        (read-only directory) it falls back to a guarded unlink.  Returns
-        True when the bad file no longer occupies the cache path.
+    def _settle(self, point: SimPoint, key: str, stats: SimStats) -> None:
+        """Persist one freshly simulated point the moment it arrives.
+
+        Called per point as pool chunks settle (not after the whole
+        batch), which is what makes a crash at point 900/1000 lose at
+        most the in-flight points: a re-run finds the rest on disk.
         """
-        try:
-            opened = os.fstat(fh.fileno())
-            current = os.stat(path)
-            if (opened.st_dev, opened.st_ino) != (current.st_dev, current.st_ino):
-                return False
-            try:
-                quarantine_dir.mkdir(parents=True, exist_ok=True)
-                os.replace(path, quarantine_dir / path.name)
-            except OSError:
-                os.unlink(path)
-            return True
-        except OSError:
-            return False
-
-    def _store_disk(self, key: str, point: SimPoint, stats: SimStats) -> None:
-        if not self.use_disk_cache or self._store_degraded:
+        self._mem[key] = stats
+        if not self.use_disk_cache:
             return
         doc = {
             "schema": CACHE_SCHEMA,
             "point": dataclasses.asdict(point),
             "stats": stats.to_payload(),
         }
-        try:
-            chaos_trip("result_store", key)
-            self.cache_dir.mkdir(parents=True, exist_ok=True)
-            fd, tmp = tempfile.mkstemp(
-                dir=self.cache_dir, prefix=f".{key[:16]}.", suffix=".tmp"
-            )
-        except OSError:
-            # A read-only or full cache directory must never fail a run.
-            self._store_failed()
-            return
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                json.dump(doc, fh, sort_keys=True)
-            os.replace(tmp, self.cache_path(key))
-        except OSError:
-            # Serialization or the atomic rename failed (disk full,
-            # permissions flipped, the final path is a directory, ...):
-            # count it and remove the orphaned temp file — mkstemp names
-            # are unique per call, so leaked ``.tmp`` files would pile up
-            # in a long-lived shared cache directory forever.
-            self._store_failed()
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            return
-        self._store_failures = 0
-        chaos_trip("result_write", key, path=str(self.cache_path(key)))
-
-    def _store_failed(self) -> None:
-        """One store ``OSError``: count it, degrade to memory-only at N."""
-        self.profile.disk_errors += 1
-        self._store_failures += 1
-        if (
-            self._store_failures >= self.store_error_threshold
-            and not self._store_degraded
-        ):
-            self._store_degraded = True
-            self._warn(
-                "cache_degraded",
-                f"{self._store_failures} consecutive result-store errors "
-                f"({self.cache_dir}); disk cache is now memory-only for "
-                "this engine",
-            )
+        self.store.put(key, json.dumps(doc, sort_keys=True).encode("utf-8"))
+        self._store_events()
 
     # -- execution ---------------------------------------------------------
-
-    def _resume_ok(self, point: SimPoint, key: str, stats: SimStats) -> bool:
-        """Cross-check a disk hit against its journaled checkpoint.
-
-        Only meaningful on ``--resume`` runs: a hit whose digest matches
-        the journal counts as resumed; a mismatch means the cache changed
-        underneath the journal (corruption, a foreign writer), so the
-        point re-simulates and the discrepancy is warned, not hidden.
-        """
-        expected = self._resume_digests.get(key)
-        if expected is None:
-            return True
-        if expected == stats_digest(stats.to_payload()):
-            self.profile.resumed += 1
-            return True
-        self._warn(
-            "journal_mismatch",
-            f"cached digest for {point.label()} no longer matches its "
-            "journaled checkpoint; re-simulating",
-            point=point.label(),
-        )
-        return False
 
     def run_point(self, point: SimPoint) -> SimStats:
         """Resolve one point (memory cache → disk cache → simulate)."""
         key = self._point_key(point)
-        hit = self._mem.get(key)
-        if hit is not None:
-            self.profile.mem_hits += 1
-            self._record(point, key, "memory", hit)
-            return hit
-        stats = self._load_disk(key)
-        if stats is not None and self._resume_ok(point, key, stats):
-            self.profile.disk_hits += 1
-            self._mem[key] = stats
-            self._record(point, key, "disk", stats)
-            return stats
-        self.profile.misses += 1
-        stats = self._simulate_serial(point)
-        self._settle(point, key, stats)
+        stats = self._lookup(point, key)
+        if stats is None:
+            stats = self._simulate_serial(point, key)
         return stats
 
     def run_many(self, points: Iterable[SimPoint]) -> Dict[SimPoint, SimStats]:
@@ -702,22 +551,11 @@ class ExperimentEngine:
         scan_t0 = time.perf_counter()
         for p in ordered:
             key = self._point_key(p)
-            hit = self._mem.get(key)
-            if hit is not None:
-                self.profile.mem_hits += 1
-                self._record(p, key, "memory", hit)
-                results[p] = hit
-            else:
-                stats = self._load_disk(key)
-                if stats is not None and self._resume_ok(p, key, stats):
-                    self.profile.disk_hits += 1
-                    self._mem[key] = stats
-                    self._record(p, key, "disk", stats)
-                    results[p] = stats
-                else:
-                    self.profile.misses += 1
-                    missing.append((p, key))
-                    continue
+            stats = self._lookup(p, key)
+            if stats is None:
+                missing.append((p, key))
+                continue
+            results[p] = stats
             if hb is not None:
                 hb.advance(done=1)
         self._metric_phase("cache-load", time.perf_counter() - scan_t0)
@@ -733,13 +571,7 @@ class ExperimentEngine:
                 if use_pool:
                     simulated = self._run_pool(missing)
                 else:
-                    simulated = {}
-                    for p, key in missing:
-                        stats = self._simulate_serial(p)
-                        self._settle(p, key, stats)
-                        simulated[p] = stats
-                        if hb is not None:
-                            hb.advance(done=1)
+                    simulated = self._run_serial(missing)
                 for p, _ in missing:
                     results[p] = simulated[p]
             except KeyboardInterrupt:
@@ -787,16 +619,16 @@ class ExperimentEngine:
     def _interrupted(self) -> None:
         """Flush telemetry on Ctrl-C/SIGTERM: the run ends loudly, not torn.
 
-        Every settled point is already on disk and in the journal
-        (:meth:`_settle` runs per arrival), so all that remains is to say
-        so: a structured manifest warning, a metrics counter, and a final
-        heartbeat with state ``interrupted``.
+        Every settled point is already on disk (:meth:`_settle` runs per
+        arrival), so all that remains is to say so: a structured manifest
+        warning, a metrics counter, and a final heartbeat with state
+        ``interrupted``.
         """
         self._progress_end()
         self._warn(
             "interrupted",
-            "batch interrupted by signal; settled points are journaled "
-            "and a re-run with --resume completes only the rest",
+            "batch interrupted by signal; settled points are cached and "
+            "re-running the same batch simulates only the rest",
         )
         if self.heartbeat is not None:
             self.heartbeat.interrupt()
@@ -855,25 +687,40 @@ class ExperimentEngine:
             self._seen_code_notes.add((kind, detail))
             self._warn(kind, detail)
 
-    def _simulate_serial(self, point: SimPoint, source: str = "sim") -> SimStats:
-        _, payload, secs, worker, trace_path, code_source, notes = _simulate_point(
-            dataclasses.astuple(point), **self._sim_kwargs()
-        )
+    def _absorb(
+        self, point: SimPoint, key: str, result: tuple, source: str
+    ) -> SimStats:
+        """Account one :func:`_simulate_point` result and settle its stats."""
+        _, payload, secs, worker, trace_path, code_source, notes = result
         self._code_notes(notes)
         self._note_code(point, code_source, worker)
         self.profile.note_sim(point.label(), secs, worker)
-        self._metric_phase("retry" if source == "retry" else "simulate", secs)
         stats = SimStats.from_payload(payload)
         self._record(
-            point,
-            self._point_key(point),
-            source,
-            stats,
-            seconds=secs,
-            worker=worker,
-            trace=trace_path,
+            point, key, source, stats, seconds=secs, worker=worker, trace=trace_path
         )
+        self._settle(point, key, stats)
         return stats
+
+    def _simulate_serial(
+        self, point: SimPoint, key: str, source: str = "sim"
+    ) -> SimStats:
+        result = _simulate_point(dataclasses.astuple(point), **self._sim_kwargs())
+        self._metric_phase("retry" if source == "retry" else "simulate", result[2])
+        return self._absorb(point, key, result, source)
+
+    def _run_serial(
+        self, missing: Sequence[Tuple[SimPoint, str]], source: str = "sim"
+    ) -> Dict[SimPoint, SimStats]:
+        """Simulate points one by one in this process (``retry`` counts)."""
+        done: Dict[SimPoint, SimStats] = {}
+        for p, key in missing:
+            if source == "retry":
+                self.profile.retries += 1
+            done[p] = self._simulate_serial(p, key, source)
+            if self.heartbeat is not None:
+                self.heartbeat.advance(done=1)
+        return done
 
     def _make_pool(self, n: int) -> concurrent.futures.ProcessPoolExecutor:
         methods = multiprocessing.get_all_start_methods()
@@ -944,10 +791,9 @@ class ExperimentEngine:
         succeeds or raises the *real* error.  Consecutive chunk failures
         feed the circuit breaker: at :data:`CIRCUIT_THRESHOLD` the engine
         warns once (``circuit_open``) and later batches run serially.
-        Every settled point is persisted and journaled on arrival.
+        Every settled point is persisted on arrival.
         """
-        points = [p for p, _ in missing]
-        keymap = {p: key for p, key in missing}
+        keymap = dict(missing)
         plan_t0 = time.perf_counter()
         chunks = self._plan_chunks(missing)
         self._metric_phase("plan", time.perf_counter() - plan_t0)
@@ -957,17 +803,11 @@ class ExperimentEngine:
         except (OSError, ValueError):
             self._pool_failures = self.circuit_threshold
             self._open_circuit("worker pool could not be created")
-            done: Dict[SimPoint, SimStats] = {}
-            for p in points:
-                done[p] = self._simulate_serial(p)
-                self._settle(p, keymap[p], done[p])
-                if hb is not None:
-                    hb.advance(done=1)
-            return done
+            return self._run_serial(missing)
 
-        done = {}
+        done: Dict[SimPoint, SimStats] = {}
         failed: List[SimPoint] = []
-        total = len(points)
+        total = len(missing)
         try:
             pending: Dict[concurrent.futures.Future, int] = {}
             submitted = time.perf_counter()
@@ -1050,30 +890,7 @@ class ExperimentEngine:
                         self._metric_phase("simulate", elapsed)
                         self._pool_failures = 0
                         for p, res in zip(chunk, results):
-                            (
-                                _,
-                                payload,
-                                secs,
-                                worker,
-                                trace_path,
-                                code_source,
-                                notes,
-                            ) = res
-                            self._code_notes(notes)
-                            self._note_code(p, code_source, worker)
-                            self.profile.note_sim(p.label(), secs, worker)
-                            stats = SimStats.from_payload(payload)
-                            self._record(
-                                p,
-                                keymap[p],
-                                "sim",
-                                stats,
-                                seconds=secs,
-                                worker=worker,
-                                trace=trace_path,
-                            )
-                            self._settle(p, keymap[p], stats)
-                            done[p] = stats
+                            done[p] = self._absorb(p, keymap[p], res, "sim")
                         if hb is not None:
                             hb.advance(done=len(chunk))
                     if hb is not None:
@@ -1110,13 +927,9 @@ class ExperimentEngine:
             pool.shutdown(wait=False, cancel_futures=True)
             self._progress_end()
 
-        for p in failed:
-            self.profile.retries += 1
-            stats = self._simulate_serial(p, source="retry")
-            self._settle(p, keymap[p], stats)
-            done[p] = stats
-            if hb is not None:
-                hb.advance(done=1)
+        done.update(
+            self._run_serial([(p, keymap[p]) for p in failed], source="retry")
+        )
         return done
 
     def _chunk_failed(self) -> None:
@@ -1167,7 +980,7 @@ class ExperimentEngine:
         self.metrics.counter(
             "repro_engine_degradations_total",
             "Degradation-ladder events by step (cache_quarantine, "
-            "cache_degraded, circuit_open, interrupted, journal_mismatch).",
+            "cache_degraded, circuit_open, interrupted).",
             ("step",),
         ).labels(step=step).inc()
 
@@ -1235,56 +1048,17 @@ def get_engine() -> ExperimentEngine:
     return _engine
 
 
-def configure(
-    workers: Optional[int] = None,
-    cache_dir: Optional[os.PathLike] = None,
-    use_disk_cache: Optional[bool] = None,
-    timeout: Optional[float] = None,
-    progress: Optional[bool] = None,
-    sanitize: Optional[bool] = None,
-    trace_dir: Optional[os.PathLike] = None,
-    trace_cycles: Optional[int] = None,
-    manifest_path: Optional[os.PathLike] = None,
-    metrics: Optional[MetricsRegistry] = None,
-    status_path: Optional[os.PathLike] = None,
-    journal_path: Optional[os.PathLike] = None,
-    resume: Optional[bool] = None,
-) -> ExperimentEngine:
+def configure(**overrides) -> ExperimentEngine:
     """Replace the process-wide engine; unspecified knobs keep their values.
 
-    The memory cache starts empty on the new engine; the disk cache is
-    shared through the filesystem, so previously stored results remain
-    visible (keys are content-addressed and engine-independent).
+    Takes :class:`ExperimentEngine`'s keyword arguments; each one given
+    and not ``None`` overrides the current engine's value.  The memory
+    cache starts empty on the new engine; the disk cache is shared
+    through the filesystem, so previously stored results remain visible
+    (keys are content-addressed and engine-independent).
     """
     global _engine
-    old = _engine
-    _engine = ExperimentEngine(
-        workers=old.workers if workers is None else workers,
-        cache_dir=old.cache_dir if cache_dir is None else cache_dir,
-        use_disk_cache=(
-            old.use_disk_cache if use_disk_cache is None else use_disk_cache
-        ),
-        timeout=old.timeout if timeout is None else timeout,
-        progress=old.progress if progress is None else progress,
-        sanitize=old.sanitize if sanitize is None else sanitize,
-        trace_dir=old.trace_dir if trace_dir is None else trace_dir,
-        trace_cycles=old.trace_cycles if trace_cycles is None else trace_cycles,
-        manifest_path=(
-            (old.manifest.path if old.manifest is not None else None)
-            if manifest_path is None
-            else manifest_path
-        ),
-        metrics=old.metrics if metrics is None else metrics,
-        status_path=(
-            (old.heartbeat.path if old.heartbeat is not None else None)
-            if status_path is None
-            else status_path
-        ),
-        journal_path=(
-            (old.journal.path if old.journal is not None else None)
-            if journal_path is None
-            else journal_path
-        ),
-        resume=old.resume if resume is None else resume,
-    )
+    kwargs = dict(_engine._init_kwargs)
+    kwargs.update((k, v) for k, v in overrides.items() if v is not None)
+    _engine = ExperimentEngine(**kwargs)
     return _engine

@@ -14,9 +14,8 @@ zero-overhead when off):
   is set, conservation-checked by the runtime sanitizer;
 * **run telemetry** — :class:`RunManifest`, the experiment engine's
   per-run JSONL audit log (cache hit/miss, wall time, worker id, stats
-  digest), now schema-versioned and validated, and :class:`RunJournal`,
-  the crash-safe append-only index of completed point keys that powers
-  ``python -m repro --resume`` (see ``docs/robustness.md``);
+  digest, structured warnings), schema-versioned, validated and
+  crash-safe (see ``docs/robustness.md``);
 * **run metrics** — :class:`MetricsRegistry` (counters, gauges,
   histograms with label sets) exported as Prometheus text exposition and
   canonical JSON, plus the :class:`Heartbeat` status.json writer for
@@ -45,13 +44,6 @@ from .chrome_trace import (
 )
 from .events import EVENT_FIELDS, EVENT_KINDS, validate_chrome_trace, validate_event
 from .heartbeat import STATUS_SCHEMA_VERSION, Heartbeat, read_status, validate_status
-from .journal import (
-    JOURNAL_SCHEMA_VERSION,
-    RunJournal,
-    load_journal,
-    validate_journal,
-    validate_journal_record,
-)
 from .manifest import (
     MANIFEST_SCHEMA_VERSION,
     RunManifest,
@@ -81,11 +73,9 @@ __all__ = [
     "Gauge",
     "Heartbeat",
     "Histogram",
-    "JOURNAL_SCHEMA_VERSION",
     "MANIFEST_SCHEMA_VERSION",
     "METRICS_SCHEMA_VERSION",
     "MetricsRegistry",
-    "RunJournal",
     "RunManifest",
     "STALL_BUCKETS",
     "STATUS_SCHEMA_VERSION",
@@ -94,7 +84,6 @@ __all__ = [
     "dumps_chrome_trace",
     "empty_buckets",
     "iter_jsonl",
-    "load_journal",
     "merge_buckets",
     "parse_prometheus_text",
     "read_manifest",
@@ -103,8 +92,6 @@ __all__ = [
     "stats_digest",
     "validate_chrome_trace",
     "validate_event",
-    "validate_journal",
-    "validate_journal_record",
     "validate_manifest",
     "validate_manifest_record",
     "validate_metrics_json",

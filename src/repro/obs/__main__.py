@@ -11,8 +11,7 @@ check against :func:`repro.obs.events.validate_chrome_trace`, run
 manifests (``*.jsonl``) against the versioned record schema
 (:func:`repro.obs.manifest.validate_manifest_record` — unknown-version
 records are rejected, unstamped pre-versioning records are flagged as
-legacy), run journals against
-:func:`repro.obs.journal.validate_journal`, metrics exports against
+legacy), metrics exports against
 :func:`repro.obs.metrics.validate_metrics_json`, status files against
 :func:`repro.obs.heartbeat.validate_status`, and bench reports against
 ``repro.bench.schema``.  Exit status: 0 clean, 1 schema errors, 2 usage
@@ -45,7 +44,6 @@ def _validate_one(path: str) -> bool:
     """Validate one artifact by shape; returns True when clean."""
     from .dashboard import classify_input
     from .heartbeat import validate_status
-    from .journal import validate_journal
     from .manifest import validate_manifest
     from .metrics import validate_metrics_json
 
@@ -67,14 +65,6 @@ def _validate_one(path: str) -> bool:
             return False
         legacy = f", {counts['legacy']} legacy" if counts["legacy"] else ""
         print(f"{path}: OK ({counts['ok']} records{legacy})")
-        return True
-    if kind == "journal":
-        counts, problems = validate_journal(path)
-        if problems:
-            _print_problems(path, problems)
-            return False
-        torn = ", torn tail" if counts["torn_tail"] else ""
-        print(f"{path}: OK ({counts['ok']} journal records{torn})")
         return True
     if kind == "events":
         bad = sum(1 for event in payload if validate_event(event))
@@ -152,7 +142,6 @@ def _dashboard(paths: List[str], out: str) -> int:
     model = build_dashboard(paths, out)
     rendered = (
         len(model["manifests"])
-        + len(model["journals"])
         + len(model["bench"])
         + len(model["metrics"])
         + len(model["status"])

@@ -28,7 +28,6 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from .heartbeat import validate_status
-from .journal import validate_journal_record
 from .manifest import validate_manifest_record
 from .metrics import validate_metrics_json
 from .stall import STALL_BUCKETS
@@ -51,9 +50,8 @@ _SERIES = (
 def classify_input(path: Union[str, Path]) -> Tuple[str, Any]:
     """Classify one artifact by shape; returns ``(kind, payload)``.
 
-    Kinds: ``manifest`` (JSONL of run records), ``journal`` (JSONL run
-    journal — key/digest checkpoints without a ``source``), ``events``
-    (JSONL event stream), ``bench`` (a BENCH report), ``metrics`` (a
+    Kinds: ``manifest`` (JSONL of run records), ``events`` (JSONL event
+    stream), ``bench`` (a BENCH report), ``metrics`` (a
     metrics JSON export), ``status`` (a heartbeat document), ``trace``
     (Chrome-trace JSON), ``error`` (unreadable; payload is the message).
     """
@@ -75,13 +73,6 @@ def classify_input(path: Union[str, Path]) -> Tuple[str, Any]:
         first = records[0] if records else {}
         if isinstance(first, dict) and "e" in first and "t" in first:
             return "events", records
-        if (
-            isinstance(first, dict)
-            and "key" in first
-            and "digest" in first
-            and "source" not in first
-        ):
-            return "journal", records
         return "manifest", records
     try:
         doc = json.loads(text)
@@ -103,7 +94,6 @@ def collect_inputs(paths: Sequence[Union[str, Path]]) -> Dict[str, Any]:
     """Classify and validate every input; returns the dashboard model."""
     model: Dict[str, Any] = {
         "manifests": [],   # (path, records)
-        "journals": [],    # (path, records)
         "bench": [],       # (path, report)
         "metrics": [],     # (path, doc)
         "status": [],      # (path, doc)
@@ -124,12 +114,6 @@ def collect_inputs(paths: Sequence[Union[str, Path]]) -> Dict[str, Any]:
                         + (problems[0] if problems else "invalid")
                     )
             model["manifests"].append((name, payload))
-        elif kind == "journal":
-            for i, record in enumerate(payload, start=1):
-                problems = validate_journal_record(record)
-                if problems:
-                    model["problems"].append(f"{name}: record {i}: {problems[0]}")
-            model["journals"].append((name, payload))
         elif kind == "bench":
             from ..bench.schema import validate_report
 
@@ -430,29 +414,6 @@ def _render_trajectory(model: Dict[str, Any]) -> List[str]:
     return out
 
 
-def _render_journals(model: Dict[str, Any]) -> List[str]:
-    out: List[str] = []
-    for name, records in model["journals"]:
-        keys = set()
-        for record in records:
-            key = record.get("key")
-            if isinstance(key, str):
-                keys.add(key)
-        out.append("<section>")
-        out.append(f"<h2>run journal — {_esc(Path(name).name)}</h2>")
-        out.append('<div class="tiles">')
-        out.append(_tile("checkpointed points", str(len(keys))))
-        out.append(_tile("journal records", str(len(records))))
-        out.append("</div>")
-        out.append(
-            '<p class="muted">points already earned by this run; '
-            "<code>python -m repro --resume</code> re-simulates only the "
-            "rest</p>"
-        )
-        out.append("</section>")
-    return out
-
-
 def _render_status(model: Dict[str, Any]) -> List[str]:
     out: List[str] = []
     for name, doc in model["status"]:
@@ -532,7 +493,6 @@ def render_dashboard(model: Dict[str, Any]) -> str:
     body.append("<h1>repro run telemetry</h1>")
     counted = (
         f"{len(model['manifests'])} manifest(s), "
-        f"{len(model['journals'])} journal(s), "
         f"{len(model['bench'])} bench report(s), "
         f"{len(model['metrics'])} metrics export(s), "
         f"{len(model['status'])} status file(s)"
@@ -546,7 +506,6 @@ def render_dashboard(model: Dict[str, Any]) -> str:
         body.append("</section>")
     body.extend(_render_status(model))
     body.extend(_render_manifests(model))
-    body.extend(_render_journals(model))
     body.extend(_render_stall_bars(model))
     body.extend(_render_trajectory(model))
     body.extend(_render_metrics(model))

@@ -17,8 +17,13 @@ Besides point resolutions, a manifest may carry ``warning`` records —
 structured run-health events (e.g. a worker exceeding its chunk
 deadline) that would otherwise only surface as a hung ``join``.
 
-Lines are appended immediately (crash-robust) and are self-describing
-JSON objects, so the file tails cleanly while a long batch runs::
+The manifest is the run's only log, so it is crash-safe by construction:
+each line is appended with a **single ``os.write`` to an ``O_APPEND``
+descriptor** (POSIX appends of this size never interleave), and
+:func:`read_manifest` skips a torn final line — a process killed
+mid-append loses at most the record being written, never the file.
+Lines are self-describing JSON objects, so the file tails cleanly while
+a long batch runs::
 
     tail -f repro-traces/manifest.jsonl | python -m json.tool --json-lines
 """
@@ -60,9 +65,8 @@ class RunManifest:
     #: in-flight pool health; the rest are steps of the engine's
     #: degradation ladder (see ``docs/robustness.md``): a corrupted cache
     #: entry quarantined, a cache dir degraded to memory-only, the pool
-    #: circuit breaker opening to serial execution, a run interrupted by
-    #: signal, and a journaled point whose cached digest no longer
-    #: matches on resume.
+    #: circuit breaker opening to serial execution, and a run interrupted
+    #: by signal.
     WARNINGS = (
         "stale_worker",
         "chunk_timeout",
@@ -71,7 +75,6 @@ class RunManifest:
         "cache_degraded",
         "circuit_open",
         "interrupted",
-        "journal_mismatch",
     )
 
     def __init__(self, path: Union[str, os.PathLike]):
@@ -79,10 +82,13 @@ class RunManifest:
         self.records_written = 0
 
     def _append(self, entry: Dict[str, Any]) -> None:
+        line = json.dumps(entry, sort_keys=True, separators=(",", ":")) + "\n"
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        with open(self.path, "a", encoding="utf-8") as fh:
-            fh.write(json.dumps(entry, sort_keys=True, separators=(",", ":")))
-            fh.write("\n")
+        fd = os.open(self.path, os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644)
+        try:
+            os.write(fd, line.encode("utf-8"))
+        finally:
+            os.close(fd)
         self.records_written += 1
 
     def record(
@@ -209,11 +215,18 @@ def _iter_lines(path: Union[str, os.PathLike]):
 
 
 def read_manifest(path: Union[str, os.PathLike]) -> list:
-    """All records of a manifest file (for tests and tooling)."""
-    records = []
+    """All records of a manifest file; a torn final line is skipped.
+
+    A process killed mid-append can leave one partial last line; any
+    other unparseable line raises ``ValueError``.
+    """
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                records.append(json.loads(line))
+        lines = [line for line in (raw.strip() for raw in fh) if line]
+    records = []
+    for i, line in enumerate(lines):
+        try:
+            records.append(json.loads(line))
+        except ValueError:
+            if i < len(lines) - 1:
+                raise
     return records

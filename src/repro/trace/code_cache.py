@@ -19,17 +19,12 @@ addressed again — invalidation by construction, same discipline as the
 experiment engine's result cache.
 
 Location: ``$REPRO_TRACE_CACHE_DIR`` when set, else
-``~/.cache/repro-sim/trace-code``.  Writers stage through a temp file and
-``os.replace`` so concurrent engine workers never observe torn entries.
-
-Failure handling follows the engine's degradation ladder
-(``docs/robustness.md``): unreadable or version-skewed entries are
-treated as misses and *quarantined* (moved into a ``quarantine/``
-subdirectory under an inode guard, so a concurrent valid rewrite is
-never discarded), and :data:`STORE_ERROR_THRESHOLD` consecutive store
-``OSError``s degrade this process to memory-only compilation.  Both
-events append ``(kind, detail)`` pairs to a per-process notes queue;
-engine workers drain it (:func:`drain_notes`) and ship the notes to the
+``~/.cache/repro-sim/trace-code``.  Each directory is one
+:class:`~repro.store.ContentStore`, which frames every pickle with a
+checksum, writes atomically, quarantines damaged entries and degrades to
+memory-only compilation after repeated store errors — per directory, so
+a broken directory never stops stores to a healthy one.  Engine workers
+drain the stores' notes (:func:`drain_notes`) and ship them to the
 parent, which deduplicates them into structured manifest warnings.
 
 This module deliberately knows nothing about :mod:`repro.workloads` (which
@@ -42,47 +37,35 @@ import hashlib
 import json
 import os
 import pickle
-import tempfile
 from pathlib import Path
-from typing import Any, Callable, List, Mapping, Optional, Tuple
+from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
-from ..chaos import trip as chaos_trip
+from ..store import ContentStore
 
 #: Schema version of the compiled-trace artifact.  Bump whenever
 #: :class:`~repro.trace.compiled.CompiledWarp`'s layout or the pickled
-#: envelope changes; old entries then miss instead of unpickling garbage.
-CODE_VERSION = 1
+#: artifact changes; old entries then miss instead of unpickling garbage.
+#: 2: entries are framed by :mod:`repro.store` (no pickled envelope).
+CODE_VERSION = 2
 
 #: Environment variable overriding the cache directory.
 CACHE_DIR_ENV = "REPRO_TRACE_CACHE_DIR"
 
-#: Consecutive store ``OSError``s before this process stops writing the
-#: trace-code cache (memory-only compilation; one note, not one per app).
-STORE_ERROR_THRESHOLD = 3
+#: One store per cache directory used by this process.
+_STORES: Dict[Path, ContentStore] = {}
 
-_MAGIC = "repro-code"
 
-#: Per-process degradation state for the store path.
-_STORE_STATE = {"failures": 0, "disabled": False}
-
-#: Per-process queue of ``(kind, detail)`` degradation events.  Kinds
-#: reuse the manifest warning vocabulary (``cache_quarantine``,
-#: ``cache_degraded``) so the engine can forward them verbatim.
-_NOTES: List[Tuple[str, str]] = []
+def _store(cache_dir: Path) -> ContentStore:
+    store = _STORES.get(cache_dir)
+    if store is None:
+        store = ContentStore(cache_dir, ".code.pkl", "code")
+        _STORES[cache_dir] = store
+    return store
 
 
 def drain_notes() -> List[Tuple[str, str]]:
     """Take (and clear) this process's pending degradation notes."""
-    notes = list(_NOTES)
-    _NOTES.clear()
-    return notes
-
-
-def reset_degradation() -> None:
-    """Re-arm the store path and drop pending notes (tests, new runs)."""
-    _STORE_STATE["failures"] = 0
-    _STORE_STATE["disabled"] = False
-    _NOTES.clear()
+    return [note for store in _STORES.values() for note in store.drain_notes()]
 
 
 def default_cache_dir() -> Path:
@@ -113,81 +96,18 @@ def code_key(
     return hashlib.sha256(material.encode()).hexdigest()
 
 
-def _entry_path(cache_dir: Path, key: str) -> Path:
-    return cache_dir / f"{key}.code.pkl"
-
-
 def load_compiled(cache_dir: Path, key: str) -> Optional[Any]:
-    """The cached artifact for ``key``, or None on miss/corruption.
+    """The cached artifact for ``key``, or None on a miss.
 
-    Corrupted pickles and wrong-generation envelopes (stale magic or
-    :data:`CODE_VERSION`) are quarantined — moved aside, never served,
-    never silently deleted — and the artifact recompiles.
+    Damaged entries are quarantined by the store and the artifact
+    recompiles.
     """
-    path = _entry_path(cache_dir, key)
-    chaos_trip("code_read", key, path=str(path))
-    try:
-        fh = open(path, "rb")
-    except OSError:
-        return None
-    with fh:
-        try:
-            envelope = pickle.load(fh)
-        except Exception:
-            _quarantine(path, fh, "unreadable pickle")
-            return None
-        if (
-            not isinstance(envelope, tuple)
-            or len(envelope) != 3
-            or envelope[0] != _MAGIC
-            or envelope[1] != CODE_VERSION
-        ):
-            _quarantine(path, fh, "wrong cache generation")
-            return None
-    return envelope[2]
+    return _store(Path(cache_dir)).get(key, pickle.loads)
 
 
 def store_compiled(cache_dir: Path, key: str, artifact: Any) -> None:
-    """Atomically persist ``artifact`` under ``key`` (best-effort).
-
-    After :data:`STORE_ERROR_THRESHOLD` consecutive ``OSError``s the
-    store path disables itself for this process (memory-only) and queues
-    a single ``cache_degraded`` note instead of erroring per artifact.
-    """
-    if _STORE_STATE["disabled"]:
-        return
-    path = _entry_path(cache_dir, key)
-    try:
-        chaos_trip("code_store", key)
-        cache_dir.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=str(cache_dir), suffix=".tmp")
-        try:
-            with os.fdopen(fd, "wb") as fh:
-                pickle.dump((_MAGIC, CODE_VERSION, artifact), fh, protocol=4)
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
-    except OSError:
-        # A read-only or full cache dir degrades to recompilation, never
-        # to failure.
-        _STORE_STATE["failures"] += 1
-        if _STORE_STATE["failures"] >= STORE_ERROR_THRESHOLD:
-            _STORE_STATE["disabled"] = True
-            _NOTES.append(
-                (
-                    "cache_degraded",
-                    f"{_STORE_STATE['failures']} consecutive trace-code "
-                    f"store errors ({cache_dir}); compiled traces are now "
-                    "memory-only in this process",
-                )
-            )
-        return
-    _STORE_STATE["failures"] = 0
-    chaos_trip("code_write", key, path=str(path))
+    """Persist ``artifact`` under ``key`` (best-effort, never raises OSError)."""
+    _store(Path(cache_dir)).put(key, pickle.dumps(artifact, protocol=4))
 
 
 def get_or_build(
@@ -209,34 +129,3 @@ def get_or_build(
     if cache_dir is not None:
         store_compiled(cache_dir, key, artifact)
     return artifact, "compile"
-
-
-def _quarantine(path: Path, fh, why: str) -> None:
-    """Move the corrupted entry aside, guarded by file identity.
-
-    The unlink/rename happens only while ``path`` still names the file
-    open as ``fh`` — a concurrent ``store_compiled`` may have already
-    replaced the corrupted entry with a fresh one, which must survive.
-    The bad file is preserved under ``quarantine/`` for post-mortems;
-    a read-only directory falls back to a guarded unlink attempt.
-    """
-    try:
-        opened = os.fstat(fh.fileno())
-        current = os.stat(path)
-        if (opened.st_dev, opened.st_ino) != (current.st_dev, current.st_ino):
-            return
-        quarantine_dir = path.parent / "quarantine"
-        try:
-            quarantine_dir.mkdir(parents=True, exist_ok=True)
-            os.replace(path, quarantine_dir / path.name)
-        except OSError:
-            os.unlink(path)
-    except OSError:
-        return
-    _NOTES.append(
-        (
-            "cache_quarantine",
-            f"corrupted trace-code entry {path.name} quarantined ({why}); "
-            "artifact will recompile",
-        )
-    )

@@ -69,7 +69,7 @@ class TestPlanGrammar:
             "seed": 31337,
             "rules": [
                 {"fault": "crash", "site": "sim", "match": "rod-nw*"},
-                {"fault": "kill", "site": "journal", "after": 5},
+                {"fault": "kill", "site": "result_write", "after": 5},
             ],
         }
         assert validate_plan(doc) == []
@@ -311,8 +311,8 @@ class TestVocabulary:
         # Plans are written against these names; renames break saved
         # plans and the CI chaos-smoke job.
         assert FAULTS == ("crash", "hang", "slow", "corrupt", "io_error", "kill")
-        assert "sim" in SITES and "journal" in SITES
-        assert len(SITES) == 8
+        assert "sim" in SITES and "result_write" in SITES
+        assert len(SITES) == 7
 
     def test_list_cli(self):
         proc = subprocess.run(

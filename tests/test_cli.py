@@ -106,44 +106,3 @@ class TestObservabilityFlags:
         assert (trace_dir / "rod-nw--baseline--sms1.trace.json").is_file()
         assert (trace_dir / "rod-nw--baseline--sms1.events.jsonl").is_file()
         assert (trace_dir / "manifest.jsonl").is_file()
-
-
-class TestRobustnessFlags:
-    def test_resume_defaults_a_journal_path(self):
-        opts, _ = _parse_args(["--resume"])
-        assert opts["resume"] is True
-        assert opts["journal"] == "repro-journal.jsonl"
-
-    def test_explicit_journal_path_is_kept(self):
-        opts, _ = _parse_args(["--resume", "--journal", "mine.jsonl"])
-        assert opts["journal"] == "mine.jsonl"
-
-    def test_trace_runs_default_the_journal_beside_traces(self):
-        # Under --trace the engine itself places the journal in the
-        # trace dir; the CLI must not override that with its fallback.
-        opts, _ = _parse_args(["--trace", "--resume"])
-        assert opts["resume"] is True
-        assert opts["journal"] is None
-
-    def test_journal_written_and_resume_serves_from_cache(
-        self, tmp_path, capsys, restore_engine
-    ):
-        from repro.experiments.engine import get_engine
-        from repro.obs import load_journal
-
-        journal = tmp_path / "journal.jsonl"
-        args = [
-            "--profile-report",
-            "rod-nw:baseline",
-            "--workers",
-            "1",
-            "--cache-dir",
-            str(tmp_path / "cache"),
-            "--journal",
-            str(journal),
-        ]
-        assert main(args) == 0
-        assert len(load_journal(journal)) == 1
-        assert main(args + ["--resume"]) == 0
-        assert get_engine().profile.resumed == 1
-        assert get_engine().profile.sims == 0

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import multiprocessing
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -19,6 +20,7 @@ from pathlib import Path
 import pytest
 
 import repro.experiments.engine as eng
+import repro.store as store_mod
 from repro.experiments import fig01_partitioning
 from repro.experiments.engine import (
     ExperimentEngine,
@@ -27,6 +29,7 @@ from repro.experiments.engine import (
 )
 from repro.experiments.export import dump_json
 from repro.obs import read_manifest, stats_digest
+from repro.store import ContentStore, unframe
 from repro.workloads import app_names
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -141,7 +144,40 @@ class TestDiskCache:
             "{ this is not json"
         )
         # The entry was rewritten and is valid again.
-        assert json.loads(path.read_text())["stats"]["cycles"] == fresh.cycles
+        doc = e2.store.get(point_key(POINT), json.loads)
+        assert doc["stats"]["cycles"] == fresh.cycles
+
+    def test_tampered_entry_that_still_parses_is_not_served(self, tmp_path):
+        # An entry edited in place (cycles + 1) is still valid JSON with a
+        # plausible payload; only its checksum shows the damage.
+        e1 = serial_engine(tmp_path)
+        fresh = e1.run_point(SimPoint("cg-lou", "rba"))
+        path = e1.cache_path(point_key(SimPoint("cg-lou", "rba")))
+        data = path.read_bytes()
+        tampered = re.sub(
+            rb'"cycles": (\d+)',
+            lambda m: b'"cycles": %d' % (int(m.group(1)) + 1),
+            data,
+            count=1,
+        )
+        assert tampered != data
+        path.write_bytes(tampered)
+
+        e2 = serial_engine(tmp_path)
+        again = e2.run_point(SimPoint("cg-lou", "rba"))
+        assert e2.profile.quarantines == 1
+        assert e2.profile.sims == 1
+        assert stats_digest(again.to_payload()) == stats_digest(fresh.to_payload())
+        assert (tmp_path / "quarantine" / path.name).read_bytes() == tampered
+
+    def test_rerun_simulates_only_missing_points(self, tmp_path):
+        points = [POINT, SimPoint("rod-nw", "rba")]
+        serial_engine(tmp_path).run_point(points[0])
+        e2 = serial_engine(tmp_path)
+        out = e2.run_many(points)
+        assert len(out) == 2
+        assert e2.profile.disk_hits == 1
+        assert e2.profile.sims == 1
 
     def test_wrong_schema_is_quarantined(self, tmp_path):
         # CACHE_SCHEMA is part of the point key, so an entry at this key's
@@ -149,18 +185,18 @@ class TestDiskCache:
         # be quarantined and recomputed, not served and not left behind.
         e1 = serial_engine(tmp_path)
         fresh = e1.run_point(POINT)
-        path = e1.cache_path(point_key(POINT))
-        doc = json.loads(path.read_text())
+        key = point_key(POINT)
+        doc = e1.store.get(key, json.loads)
         doc["schema"] = -1
-        path.write_text(json.dumps(doc))
+        assert e1.store.put(key, json.dumps(doc).encode())
         e2 = serial_engine(tmp_path)
         assert e2.run_point(POINT) == fresh
         assert e2.profile.sims == 1
         assert e2.profile.quarantines == 1
-        quarantined = tmp_path / "quarantine" / path.name
-        assert json.loads(quarantined.read_text())["schema"] == -1
+        quarantined = tmp_path / "quarantine" / e1.cache_path(key).name
+        assert json.loads(unframe(quarantined.read_bytes()))["schema"] == -1
         # The cache path holds a fresh, current-generation entry again.
-        assert json.loads(path.read_text())["schema"] == eng.CACHE_SCHEMA
+        assert e2.store.get(key, json.loads)["schema"] == eng.CACHE_SCHEMA
 
     def test_unwritable_cache_dir_degrades_gracefully(self, tmp_path):
         blocked = tmp_path / "not-a-dir"
@@ -255,14 +291,16 @@ class TestStoreDiskRobustness:
         assert _tmp_leftovers(tmp_path) == []
 
     def test_failed_serialize_leaves_no_tmp_files(self, tmp_path, monkeypatch):
+        # Writing the entry into its temp file fails (disk full).
         e = serial_engine(tmp_path)
-        stats = e._simulate_serial(POINT)
 
-        def failing_dump(*args, **kwargs):
+        def failing_fdopen(fd, *args, **kwargs):
+            os.close(fd)
             raise OSError("no space left on device")
 
-        monkeypatch.setattr(eng.json, "dump", failing_dump)
-        e._store_disk(point_key(POINT), POINT, stats)
+        monkeypatch.setattr(store_mod.os, "fdopen", failing_fdopen)
+        stats = e.run_point(POINT)
+        assert stats.cycles > 0
         assert e.profile.disk_errors == 1
         assert _tmp_leftovers(tmp_path) == []
 
@@ -283,54 +321,41 @@ class TestStoreDiskRobustness:
 
 
 class TestCorruptEntryRace:
+    """The store's inode-guarded quarantine, shared by both caches."""
+
     def test_quarantine_exact_moves_the_file_it_read(self, tmp_path):
         path = tmp_path / "entry.json"
-        quarantine = tmp_path / "quarantine"
         path.write_text("{ corrupted")
-        with open(path, "r", encoding="utf-8") as fh:
-            assert ExperimentEngine._quarantine_exact(path, fh, quarantine)
+        with open(path, "rb") as fh:
+            assert ContentStore.quarantine(path, fh)
         assert not path.exists()
         # The bad entry is preserved for post-mortems, not destroyed.
-        assert (quarantine / "entry.json").read_text() == "{ corrupted"
+        assert (tmp_path / "quarantine" / "entry.json").read_text() == "{ corrupted"
 
     def test_quarantine_exact_spares_a_replacement(self, tmp_path):
         path = tmp_path / "entry.json"
-        quarantine = tmp_path / "quarantine"
         path.write_text("{ corrupted")
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "rb") as fh:
             incoming = tmp_path / "incoming.json"
             incoming.write_text('{"fresh": true}')
-            os.replace(incoming, path)  # a parallel _store_disk lands
-            assert not ExperimentEngine._quarantine_exact(path, fh, quarantine)
+            os.replace(incoming, path)  # a parallel store lands
+            assert not ContentStore.quarantine(path, fh)
         assert path.read_text() == '{"fresh": true}'
-        assert not quarantine.exists()
+        assert not (tmp_path / "quarantine").exists()
 
     def test_quarantine_exact_falls_back_to_unlink(self, tmp_path):
-        if hasattr(os, "geteuid") and os.geteuid() == 0:
-            pytest.skip("root bypasses directory write permissions")
-        readonly = tmp_path / "cache"
-        readonly.mkdir()
-        path = readonly / "entry.json"
+        path = tmp_path / "entry.json"
         path.write_text("{ corrupted")
-        # The parent dir allows unlink but the quarantine dir cannot be
-        # created once the directory is read-only — so this exercises the
-        # mkdir-failure path via a quarantine dir under a sealed parent.
-        sealed = tmp_path / "sealed"
-        sealed.mkdir()
-        os.chmod(sealed, 0o500)
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                assert ExperimentEngine._quarantine_exact(
-                    path, fh, sealed / "quarantine"
-                )
-            assert not path.exists()
-        finally:
-            os.chmod(sealed, 0o700)
+        # A file where the quarantine directory should go: mkdir fails.
+        (tmp_path / "quarantine").write_text("in the way")
+        with open(path, "rb") as fh:
+            assert ContentStore.quarantine(path, fh)
+        assert not path.exists()
 
     def test_corrupt_cleanup_never_discards_a_parallel_store(
         self, tmp_path, monkeypatch
     ):
-        """The _load_disk / _store_disk race on a shared cache directory.
+        """The read / store race on a shared cache directory.
 
         Engine A opens a corrupted entry; while A holds it open, engine B
         (another process) atomically replaces the path with a fresh valid
@@ -341,22 +366,22 @@ class TestCorruptEntryRace:
         fresh = e1.run_point(POINT)
         key = point_key(POINT)
         path = e1.cache_path(key)
-        good = path.read_text()
+        good = path.read_bytes()
         path.write_text("{ corrupted")
 
-        real_load = json.load
+        real_unframe = store_mod.unframe
 
-        def racing_load(fh, *args, **kwargs):
+        def racing_unframe(data):
             incoming = tmp_path / "incoming.json"
-            incoming.write_text(good)
+            incoming.write_bytes(good)
             os.replace(incoming, path)  # engine B's store lands mid-read
-            return real_load(fh, *args, **kwargs)  # raises: fh is corrupt
+            return real_unframe(data)  # raises: the data read is corrupt
 
-        monkeypatch.setattr(eng.json, "load", racing_load)
+        monkeypatch.setattr(store_mod, "unframe", racing_unframe)
         e2 = serial_engine(tmp_path)
-        assert e2._load_disk(key) is None
-        assert e2.profile.disk_errors == 1
-        monkeypatch.setattr(eng.json, "load", real_load)
+        assert e2.store.get(key, json.loads) is None
+        assert e2.store.errors == 1
+        monkeypatch.setattr(store_mod, "unframe", real_unframe)
 
         # The replacement survived the cleanup: a fresh engine disk-hits.
         e3 = serial_engine(tmp_path)
@@ -403,10 +428,9 @@ class TestSharedCacheStress:
         assert all(d == digests[0] for d in digests), "lost or diverged result"
         assert [errs for errs, _ in results] == [0, 0, 0, 0]
         assert _tmp_leftovers(tmp_path) == []
+        store = serial_engine(tmp_path).store
         for f in fields:
-            entry = json.loads(
-                (tmp_path / f"{point_key(SimPoint(*f))}.json").read_text()
-            )
+            entry = store.get(point_key(SimPoint(*f)), json.loads)
             assert entry["schema"] == eng.CACHE_SCHEMA
 
 
@@ -526,6 +550,15 @@ class TestAppAffinityChunks:
         # two light apps share the other.
         apps = sorted(sorted({p.app for p in c}) for c in chunks)
         assert apps == [["ply-atax", "tpcU-q3"], ["rod-nw"]]
+
+    def test_torn_manifest_tail_keeps_past_weights(self, tmp_path):
+        manifest = tmp_path / "manifest.jsonl"
+        e = ExperimentEngine(workers=2, cache_dir=tmp_path, manifest_path=manifest)
+        assert e.manifest is not None
+        e.manifest.record(POINT.label(), "key", "sim", "digest", seconds=7.0)
+        with open(manifest, "a", encoding="utf-8") as fh:
+            fh.write('{"v":1,"point":"tpcU-q3')  # killed mid-append
+        assert e._point_weights() == {POINT.label(): 7.0}
 
     def test_one_trace_compile_per_app_across_designs(self, tmp_path):
         from repro.workloads import registry
@@ -715,16 +748,16 @@ class TestChaosIntegration:
             if r["source"] == "warning" and r["kind"] == kind
         ]
 
-    def test_store_io_errors_degrade_to_memory_once(self, tmp_path):
+    def test_store_io_errors_degrade_to_memory_once(self, tmp_path, monkeypatch):
         from repro.chaos import install_plan, single_fault_plan
 
         manifest = tmp_path / "m.jsonl"
         e = serial_engine(tmp_path / "cache", manifest_path=manifest)
-        e.store_error_threshold = 1
+        monkeypatch.setattr(store_mod, "STORE_ERROR_THRESHOLD", 1)
         install_plan(single_fault_plan("io_error", "result_store", times=0))
         first = e.run_point(POINT)
         e.run_point(SimPoint("rod-nw", "rba"))
-        assert e._store_degraded
+        assert e.store.degraded
         # Only the first store hit the disk; the second short-circuited,
         # so exactly one error and one structured warning.
         assert e.profile.disk_errors == 1
@@ -772,72 +805,6 @@ class TestChaosIntegration:
         assert out[POINT] == serial_engine().run_point(POINT)
 
 
-class TestJournalResume:
-    def test_settled_points_are_journaled(self, tmp_path):
-        from repro.obs import load_journal
-
-        journal = tmp_path / "journal.jsonl"
-        e = serial_engine(tmp_path / "cache", journal_path=journal)
-        stats = e.run_point(POINT)
-        assert load_journal(journal) == {
-            e._point_key(POINT): stats_digest(stats.to_payload())
-        }
-
-    def test_resume_serves_journaled_points_from_disk(self, tmp_path):
-        journal = tmp_path / "journal.jsonl"
-        cache = tmp_path / "cache"
-        serial_engine(cache, journal_path=journal).run_point(POINT)
-        e2 = serial_engine(cache, journal_path=journal, resume=True)
-        e2.run_point(POINT)
-        assert e2.profile.sims == 0
-        assert e2.profile.disk_hits == 1
-        assert e2.profile.resumed == 1
-        assert "resumed" in e2.profile.summary()
-
-    def test_run_many_resimulates_only_missing_points(self, tmp_path):
-        journal = tmp_path / "journal.jsonl"
-        cache = tmp_path / "cache"
-        points = [POINT, SimPoint("rod-nw", "rba")]
-        serial_engine(cache, journal_path=journal).run_point(points[0])
-        e2 = serial_engine(cache, journal_path=journal, resume=True)
-        out = e2.run_many(points)
-        assert len(out) == 2
-        assert e2.profile.sims == 1
-        assert e2.profile.resumed == 1
-
-    def test_journal_mismatch_resimulates_and_warns(self, tmp_path):
-        from repro.obs import load_journal
-
-        journal = tmp_path / "journal.jsonl"
-        cache = tmp_path / "cache"
-        manifest = tmp_path / "m.jsonl"
-        e1 = serial_engine(cache, journal_path=journal)
-        e1.run_point(POINT)
-        key = e1._point_key(POINT)
-        # The cache changed underneath the journal: forge the checkpoint.
-        journal.write_text(
-            json.dumps(
-                {"v": 1, "key": key, "digest": "forged", "point": POINT.label()}
-            )
-            + "\n",
-            encoding="utf-8",
-        )
-        e2 = serial_engine(
-            cache, journal_path=journal, resume=True, manifest_path=manifest
-        )
-        e2.run_point(POINT)
-        assert e2.profile.sims == 1
-        assert e2.profile.resumed == 0
-        warnings = [
-            r
-            for r in read_manifest(manifest)
-            if r["source"] == "warning" and r["kind"] == "journal_mismatch"
-        ]
-        assert len(warnings) == 1
-        # The re-simulated point re-journaled its true digest (last wins).
-        assert load_journal(journal)[key] != "forged"
-
-
 class TestInterruptShutdown:
     def test_keyboard_interrupt_flushes_telemetry(self, tmp_path, monkeypatch):
         manifest = tmp_path / "m.jsonl"
@@ -861,7 +828,7 @@ class TestInterruptShutdown:
             r for r in read_manifest(manifest) if r["source"] == "warning"
         ]
         assert any(r["kind"] == "interrupted" for r in warnings)
-        assert any("--resume" in r["detail"] for r in warnings)
+        assert any("re-running" in r["detail"] for r in warnings)
 
     def test_sigterm_converts_to_keyboard_interrupt_and_restores(self):
         import signal

@@ -181,6 +181,38 @@ class TestManifest:
         assert records[0]["trace"] == "a.trace.json"
         assert "seconds" not in records[1]
 
+    def test_each_record_is_one_append_write(self, tmp_path, monkeypatch):
+        import repro.obs.manifest as manifest_mod
+
+        writes = []
+        real_write = manifest_mod.os.write
+        monkeypatch.setattr(
+            manifest_mod.os,
+            "write",
+            lambda fd, data: writes.append(data) or real_write(fd, data),
+        )
+        manifest = RunManifest(tmp_path / "m.jsonl")
+        manifest.record("p", "k", "sim", "d")
+        manifest.warn("interrupted", "signal")
+        assert len(writes) == 2
+        assert all(w.endswith(b"\n") and w.count(b"\n") == 1 for w in writes)
+
+    def test_torn_final_line_is_skipped(self, tmp_path):
+        # A process killed mid-append leaves a partial last line.
+        path = tmp_path / "m.jsonl"
+        manifest = RunManifest(path)
+        manifest.record("a", "k" * 64, "sim", "d" * 16, seconds=2.0)
+        manifest.record("b", "k" * 64, "sim", "d" * 16, seconds=3.0)
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write('{"v":1,"point":"c","sou')
+        assert [r["point"] for r in read_manifest(path)] == ["a", "b"]
+
+    def test_torn_middle_line_still_raises(self, tmp_path):
+        path = tmp_path / "m.jsonl"
+        path.write_text('{"v":1,"sou\n{"v":1}\n', encoding="utf-8")
+        with pytest.raises(ValueError):
+            read_manifest(path)
+
     def test_unknown_source_rejected(self, tmp_path):
         manifest = RunManifest(tmp_path / "m.jsonl")
         with pytest.raises(ValueError):

@@ -43,7 +43,6 @@ CONTRACT_STUBS = {
     "obs/manifest.py": "MANIFEST_SCHEMA_VERSION = 1\n",
     "obs/metrics.py": "METRICS_SCHEMA_VERSION = 1\n",
     "obs/heartbeat.py": "STATUS_SCHEMA_VERSION = 1\n",
-    "obs/journal.py": "JOURNAL_SCHEMA_VERSION = 1\n",
 }
 
 

@@ -1,7 +1,6 @@
-"""simcheck v2 analysis passes: reset-completeness, hot-path, drift.
+"""simcheck analysis passes: determinism, reset-completeness, hot-path, drift.
 
-Importing this package registers the RPR1xx/2xx/3xx rules into the
-shared catalog (:func:`repro.analysis.rules.register_rules`);
+Every rule they report is catalogued in :data:`repro.analysis.rules.RULES`;
 :func:`run_project_passes` is the ``--check-all`` entry point.
 """
 
@@ -11,81 +10,35 @@ from pathlib import Path
 from typing import List, Tuple
 
 from ..callgraph import CallGraph
-from ..linter import Finding
 from ..project import ProjectModel, build_project
-from ..rules import Rule, register_rules
+from ..rules import Finding, check_tree
 from .base import AnalysisContext, AnalysisPass
 from .drift import DriftPass
 from .hotpath import HotPathPass
 from .reset import ResetCompletenessPass
 
-PASS_RULES: List[Rule] = [
-    Rule(
-        "RPR101",
-        "allocation in a cycle-hot function",
-        "hoist the allocation out of the per-cycle path or reuse a "
-        "preallocated buffer; if the work is inherent to the model, "
-        "justify with `# simcheck: hot-ok -- reason`",
-    ),
-    Rule(
-        "RPR102",
-        "try/except inside a loop in a cycle-hot function",
-        "hoist the try outside the loop, or restructure with a lookup "
-        "that cannot raise",
-    ),
-    Rule(
-        "RPR103",
-        "deep attribute chain re-read in a cycle-hot function",
-        "hoist the chain's prefix into a local once and index through it",
-    ),
-    Rule(
-        "RPR104",
-        "stale or unknown simcheck annotation",
-        "remove the annotation (it no longer suppresses a finding) or fix "
-        "the tag spelling",
-    ),
-    Rule(
-        "RPR201",
-        "mutable attribute mutated outside reset paths but never re-initialized",
-        "re-initialize or .clear() it in begin_run()/reset(), or declare "
-        "`# simcheck: persistent -- reason` on the __init__ assignment",
-    ),
-    Rule(
-        "RPR202",
-        "reassigned attribute never re-initialized in a reset path",
-        "assign its initial value in begin_run()/reset() (`+=` is not a "
-        "re-initialization), or declare `# simcheck: persistent -- reason`",
-    ),
-    Rule(
-        "RPR203",
-        "owned component with a reset hook is never cascaded",
-        "call self.<attr>.begin_run()/reset() from the owner's reset path "
-        "(or rebuild the component there)",
-    ),
-    Rule(
-        "RPR301",
-        "versioned model contract changed without acknowledgment",
-        "bump the contract's version constant if on-disk artifacts change "
-        "meaning, then refresh analysis/contracts.json with "
-        "`python -m repro.analysis --update-contracts`",
-    ),
-    Rule(
-        "RPR302",
-        "config field is never read by the model",
-        "wire the field into the model (or validate it) so sweeps over it "
-        "mean something, or delete it",
-    ),
-    Rule(
-        "RPR303",
-        "stats declaration out of lockstep with the field list",
-        "keep the SMStats construction, conservation tuples and "
-        "to_payload() covering every dataclass field",
-    ),
-]
 
-register_rules(PASS_RULES)
+class DeterminismPass(AnalysisPass):
+    """RPR000 for files that do not parse, RPR001..RPR006 per module."""
+
+    name = "determinism"
+
+    def run(self, ctx: AnalysisContext) -> None:
+        for path, exc in ctx.project.parse_errors.items():
+            ctx.add(
+                "RPR000",
+                path,
+                exc.lineno or 1,
+                f"syntax error: {exc.msg}",
+                col=(exc.offset or 1) - 1,
+            )
+        for module in ctx.project.modules.values():
+            for raw in check_tree(module.tree):
+                ctx.add(raw.rule_id, module.path, raw.line, raw.message, col=raw.col)
+
 
 ALL_PASSES: Tuple[AnalysisPass, ...] = (
+    DeterminismPass(),
     ResetCompletenessPass(),
     HotPathPass(),
     DriftPass(),
@@ -107,9 +60,9 @@ __all__ = [
     "ALL_PASSES",
     "AnalysisContext",
     "AnalysisPass",
+    "DeterminismPass",
     "DriftPass",
     "HotPathPass",
-    "PASS_RULES",
     "ResetCompletenessPass",
     "run_project_passes",
 ]

@@ -3,11 +3,11 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Set, Tuple
+from typing import List, Set, Tuple
 
 from ..callgraph import CallGraph
-from ..linter import Finding
 from ..project import ProjectModel
+from ..rules import Finding
 
 
 @dataclass
@@ -24,31 +24,14 @@ class AnalysisContext:
     graph: CallGraph
     findings: List[Finding] = field(default_factory=list)
     used_annotations: Set[Tuple[str, int]] = field(default_factory=set)
-    _seen: Set[Tuple[str, str, int, str]] = field(default_factory=set)
+    _seen: Set[Tuple[str, str, int, int, str]] = field(default_factory=set)
 
-    def add(
-        self,
-        rule_id: str,
-        path: str,
-        line: int,
-        message: str,
-        col: int = 0,
-        suppressed: bool = False,
-    ) -> None:
-        key = (rule_id, path, line, message)
+    def add(self, rule_id: str, path: str, line: int, message: str, col: int = 0) -> None:
+        key = (rule_id, path, line, col, message)
         if key in self._seen:
             return
         self._seen.add(key)
-        self.findings.append(
-            Finding(
-                rule_id=rule_id,
-                path=path,
-                line=line,
-                col=col,
-                message=message,
-                suppressed=suppressed,
-            )
-        )
+        self.findings.append(Finding(rule_id, path, line, col, message))
 
     def use(self, module: str, line: int) -> None:
         self.used_annotations.add((module, line))

@@ -180,6 +180,8 @@ class ProjectModel:
         self.module_functions: Dict[str, List[FunctionInfo]] = {}  # bare name
         self.methods_by_name: Dict[str, List[FunctionInfo]] = {}
         self.subclasses: Dict[str, List[str]] = {}
+        #: Files that do not parse, by path; no pass sees their contents.
+        self.parse_errors: Dict[str, SyntaxError] = {}
 
     # -- lookups -----------------------------------------------------------
 
@@ -575,19 +577,15 @@ def _scan_annotations(source: str) -> Dict[int, Annotation]:
 
     Tokenizing (rather than regex-scanning raw lines) keeps annotation
     *examples* inside docstrings and string literals from registering as
-    live annotations.
+    live annotations.  Runs only on source :func:`ast.parse` accepted.
     """
     out: Dict[int, Annotation] = {}
-    try:
-        tokens = tokenize.generate_tokens(io.StringIO(source).readline)
-        for tok in tokens:
-            if tok.type != tokenize.COMMENT:
-                continue
-            match = SIMCHECK_RE.search(tok.string)
-            if match is not None:
-                out[tok.start[0]] = Annotation(match.group("tag"), match.group("reason"))
-    except tokenize.TokenError:
-        pass  # truncated/invalid source: the linter reports it separately
+    for tok in tokenize.generate_tokens(io.StringIO(source).readline):
+        if tok.type != tokenize.COMMENT:
+            continue
+        match = SIMCHECK_RE.search(tok.string)
+        if match is not None:
+            out[tok.start[0]] = Annotation(match.group("tag"), match.group("reason"))
     return out
 
 
@@ -670,8 +668,9 @@ def build_project(root: Path, paths: Optional[Sequence[Path]] = None) -> Project
         source = file.read_text(encoding="utf-8")
         try:
             tree = ast.parse(source, filename=str(file))
-        except SyntaxError:
-            continue  # the RPR000 linter reports these
+        except SyntaxError as exc:
+            project.parse_errors[str(file)] = exc  # reported as RPR000
+            continue
         module = ModuleInfo(
             name=_module_name(root, file),
             path=str(file),

@@ -1,12 +1,14 @@
-"""The determinism lint rules (RPR001..RPR006).
+"""The simcheck rule catalog and the determinism checker (RPR001..RPR006).
 
-Each rule names one hazard class that historically breaks bit-stable
-simulation (PR 1 fixed live instances of RPR001's class in
-``SubCore.ready``).  A rule carries a stable ID, a one-line summary and a
-fix-it hint; findings can be silenced per line with::
+:data:`RULES` is the one catalog: every rule any pass can report, with a
+stable ID, a one-line summary and a fix-it hint.  RPR0xx are the
+per-module determinism rules checked here; RPR1xx/2xx/3xx belong to the
+whole-program passes in :mod:`repro.analysis.passes`.
 
-    risky_code()  # simlint: ignore[RPR001]
-    risky_code()  # simlint: ignore            (all rules)
+Each RPR0xx rule names one hazard class that historically breaks
+bit-stable simulation (``SubCore.ready`` once iterated a set, RPR001's
+class).  There is no per-line escape hatch: a determinism finding is
+fixed, not silenced.
 
 The checker is deliberately self-contained AST analysis — no third-party
 lint framework — so the gate runs anywhere the simulator does.
@@ -26,19 +28,55 @@ import ast
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Set
 
+from .project import MUTABLE_FACTORIES
+
 
 @dataclass(frozen=True)
 class Rule:
-    """One lint rule: stable ID, summary and a fix-it hint."""
+    """One rule: stable ID, summary and a fix-it hint."""
 
     rule_id: str
     summary: str
     hint: str
 
 
+@dataclass(frozen=True)
+class Finding:
+    """One located finding of a catalogued rule."""
+
+    rule_id: str
+    path: str
+    line: int
+    col: int
+    message: str
+
+    @property
+    def hint(self) -> str:
+        return RULES[self.rule_id].hint
+
+    def format(self) -> str:
+        return (
+            f"{self.path}:{self.line}:{self.col + 1}: {self.rule_id} "
+            f"{self.message} (fix: {self.hint})"
+        )
+
+    def format_github(self) -> str:
+        """GitHub Actions workflow-command annotation for this finding."""
+        message = f"{self.message} (fix: {self.hint})".replace("\n", " ")
+        return (
+            f"::error file={self.path},line={self.line},col={self.col + 1},"
+            f"title=simcheck {self.rule_id}::{message}"
+        )
+
+
 RULES: Dict[str, Rule] = {
     r.rule_id: r
     for r in (
+        Rule(
+            "RPR000",
+            "module does not parse",
+            "fix the syntax error; no other rule checks the file until it parses",
+        ),
         Rule(
             "RPR001",
             "iteration over a set/frozenset (hash order feeds the result)",
@@ -75,33 +113,79 @@ RULES: Dict[str, Rule] = {
             "default to None and create the list/dict/set inside the "
             "function body",
         ),
+        Rule(
+            "RPR101",
+            "allocation in a cycle-hot function",
+            "hoist the allocation out of the per-cycle path or reuse a "
+            "preallocated buffer; if the work is inherent to the model, "
+            "justify with `# simcheck: hot-ok -- reason`",
+        ),
+        Rule(
+            "RPR102",
+            "try/except inside a loop in a cycle-hot function",
+            "hoist the try outside the loop, or restructure with a lookup "
+            "that cannot raise",
+        ),
+        Rule(
+            "RPR103",
+            "deep attribute chain re-read in a cycle-hot function",
+            "hoist the chain's prefix into a local once and index through it",
+        ),
+        Rule(
+            "RPR104",
+            "stale or unknown simcheck annotation",
+            "remove the annotation (it no longer suppresses a finding) or fix "
+            "the tag spelling",
+        ),
+        Rule(
+            "RPR201",
+            "mutable attribute mutated outside reset paths but never re-initialized",
+            "re-initialize or .clear() it in begin_run()/reset(), or declare "
+            "`# simcheck: persistent -- reason` on the __init__ assignment",
+        ),
+        Rule(
+            "RPR202",
+            "reassigned attribute never re-initialized in a reset path",
+            "assign its initial value in begin_run()/reset() (`+=` is not a "
+            "re-initialization), or declare `# simcheck: persistent -- reason`",
+        ),
+        Rule(
+            "RPR203",
+            "owned component with a reset hook is never cascaded",
+            "call self.<attr>.begin_run()/reset() from the owner's reset path "
+            "(or rebuild the component there)",
+        ),
+        Rule(
+            "RPR301",
+            "versioned model contract changed without acknowledgment",
+            "bump the contract's version constant if on-disk artifacts change "
+            "meaning, then refresh analysis/contracts.json with "
+            "`python -m repro.analysis --update-contracts`",
+        ),
+        Rule(
+            "RPR302",
+            "config field is never read by the model",
+            "wire the field into the model (or validate it) so sweeps over it "
+            "mean something, or delete it",
+        ),
+        Rule(
+            "RPR303",
+            "stats declaration out of lockstep with the field list",
+            "keep the SMStats construction, conservation tuples and "
+            "to_payload() covering every dataclass field",
+        ),
     )
 }
 
-#: Rules contributed by simcheck v2 analysis passes (repro.analysis.passes)
-#: at import time.  Kept separate from :data:`RULES` so the single-file
-#: linter stays self-contained, but hint lookup and ``--list-rules`` see
-#: one combined catalog.
-_EXTRA_RULES: Dict[str, Rule] = {}
 
-
-def register_rules(rules: "List[Rule]") -> None:
-    """Register pass-owned rules into the shared catalog (idempotent)."""
-    for rule in rules:
-        _EXTRA_RULES[rule.rule_id] = rule
-
-
-def get_rule(rule_id: str) -> Optional[Rule]:
-    """Look up a rule by ID across the linter and every registered pass."""
-    rule = RULES.get(rule_id)
-    return rule if rule is not None else _EXTRA_RULES.get(rule_id)
-
-
-def all_rules() -> Dict[str, Rule]:
-    """The combined catalog, linter rules first on ID collisions."""
-    merged = dict(_EXTRA_RULES)
-    merged.update(RULES)
-    return merged
+def rule_listing() -> str:
+    """Human-readable table of every rule (``--list-rules``)."""
+    lines = []
+    for rule_id in sorted(RULES):
+        rule = RULES[rule_id]
+        lines.append(f"{rule_id}  {rule.summary}")
+        lines.append(f"        fix: {rule.hint}")
+    return "\n".join(lines)
 
 
 #: Legacy module-level numpy.random functions (global-state RNG).
@@ -129,13 +213,9 @@ _WALL_CLOCK = frozenset(
     }
 )
 
-#: Constructors whose call (or literal form) makes a mutable default.
-_MUTABLE_FACTORIES = frozenset({"list", "dict", "set", "bytearray", "defaultdict", "deque", "Counter", "OrderedDict"})
-
-
 @dataclass
 class RawFinding:
-    """A finding before suppression handling (see linter.Finding)."""
+    """A determinism finding inside one module (the pass adds the path)."""
 
     rule_id: str
     line: int
@@ -428,7 +508,7 @@ class DeterminismChecker(ast.NodeVisitor):
             if (
                 isinstance(default, ast.Call)
                 and isinstance(default.func, ast.Name)
-                and default.func.id in _MUTABLE_FACTORIES
+                and default.func.id in MUTABLE_FACTORIES
             ):
                 mutable = True
             if mutable:

@@ -1,9 +1,7 @@
 """SARIF 2.1.0 export for simcheck findings.
 
-One run, one tool (``simcheck``), one result per unsuppressed finding —
-the minimal valid shape GitHub code scanning and SARIF viewers ingest.
-Suppressed/annotated findings are included with a ``suppressions`` entry
-so the justification trail survives into the artifact.
+One run, one tool (``simcheck``), one result per finding — the minimal
+valid shape GitHub code scanning and SARIF viewers ingest.
 """
 
 from __future__ import annotations
@@ -11,8 +9,7 @@ from __future__ import annotations
 import json
 from typing import Dict, List, Sequence
 
-from .linter import Finding
-from .rules import all_rules
+from .rules import RULES, Finding
 
 SARIF_VERSION = "2.1.0"
 SARIF_SCHEMA = "https://raw.githubusercontent.com/oasis-tcs/sarif-spec/master/Schemata/sarif-schema-2.1.0.json"
@@ -20,17 +17,14 @@ TOOL_NAME = "simcheck"
 
 
 def _rule_descriptors(rule_ids: Sequence[str]) -> List[Dict[str, object]]:
-    catalog = all_rules()
     descriptors: List[Dict[str, object]] = []
     for rule_id in sorted(dict.fromkeys(rule_ids)):
-        rule = catalog.get(rule_id)
+        rule = RULES[rule_id]
         descriptors.append(
             {
                 "id": rule_id,
-                "shortDescription": {
-                    "text": rule.summary if rule is not None else rule_id
-                },
-                "help": {"text": rule.hint if rule is not None else ""},
+                "shortDescription": {"text": rule.summary},
+                "help": {"text": rule.hint},
             }
         )
     return descriptors
@@ -57,8 +51,6 @@ def sarif_report(findings: Sequence[Finding], tool_version: str = "2.0") -> Dict
                 }
             ],
         }
-        if finding.suppressed:
-            result["suppressions"] = [{"kind": "inSource"}]
         results.append(result)
     return {
         "$schema": SARIF_SCHEMA,

@@ -70,8 +70,8 @@ def run_smoke_grid(
 ) -> SmokeReport:
     """Run the grid; raises InvariantViolation on the first failed check.
 
-    Imports the simulator lazily so the linter half of this package stays
-    importable from :mod:`repro.core` without a cycle.
+    Imports the simulator lazily so :mod:`repro.analysis` stays importable
+    from :mod:`repro.core` without a cycle.
     """
     from ..experiments.designs import get_design
     from ..gpu import GPU, simulate

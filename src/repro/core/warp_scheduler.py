@@ -179,7 +179,7 @@ class BankStealingScheduler(GTOScheduler):
             banks = w.src_banks_cached()
             # Iterate the tuple directly: duplicate banks re-check the same
             # idle queue harmlessly, and no set order ever feeds the result
-            # (simlint RPR001).
+            # (determinism rule RPR001).
             if banks and all(arb.bank_idle(b) for b in banks):
                 return w
         return None

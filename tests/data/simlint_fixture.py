@@ -1,9 +1,9 @@
-"""Lint fixture: one bad and one good example per simlint rule.
+"""Determinism fixture: bad and good examples for RPR001..RPR006.
 
-Never imported or executed — ``tests/test_simlint.py`` parses this file and
-asserts that every line tagged ``# expect: RPRxxx`` produces exactly that
-finding, that untagged lines produce none, and that ``# simlint: ignore``
-lines land in the suppressed bucket (tagged ``# expect-suppressed:``).
+Never imported or executed — ``tests/test_simlint.py`` checks it as a
+module of a throwaway package tree and asserts that every line tagged
+``# expect: RPRxxx`` produces exactly that finding and that untagged lines
+produce none.
 """
 
 import random
@@ -111,18 +111,3 @@ def good_default(counts=None):
     counts.append(1)
     return counts
 
-
-# -- suppressions -----------------------------------------------------------
-
-def suppressed_all():
-    for item in {1, 2}:  # simlint: ignore  # expect-suppressed: RPR001
-        yield item
-
-
-def suppressed_specific():
-    return sorted({1, 2})  # simlint: ignore[RPR002]  # expect-suppressed: RPR002
-
-
-def suppression_wrong_rule():
-    # The ignore names a different rule, so the finding still fires.
-    return sorted({1, 2})  # simlint: ignore[RPR001]  # expect: RPR002

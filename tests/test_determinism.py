@@ -60,7 +60,7 @@ def test_identical_stats_across_hash_seeds():
 
 @pytest.mark.slow
 def test_bank_stealing_identical_across_hash_seeds():
-    """Regression for the simlint RPR001 fix in BankStealingScheduler.
+    """Regression for the RPR001 fix in BankStealingScheduler.
 
     ``steal_candidate`` used to probe bank idleness through ``set(banks)``;
     the candidate scan must stay hash-order-free so the stolen warp is the
@@ -88,7 +88,7 @@ def test_bank_stealing_repeat_run_identical():
 
 
 def test_registry_listings_are_sorted():
-    """Regression for the suppressed sorted-on-set sites in the registry:
+    """Regression for the keyed sorted-on-set sites in the registry:
     suites() and app_names() must return stable, totally ordered lists."""
     from repro.workloads import app_names, suites
 
@@ -101,7 +101,7 @@ def test_registry_listings_are_sorted():
 
 
 def test_allocator_register_order_is_sorted():
-    """Regression for the suppressed sorted-on-set site in the allocator."""
+    """Regression for the keyed sorted-on-set site in the allocator."""
     from repro.regalloc.allocator import ConflictAwareAllocator
     from repro.trace import TraceBuilder
 

@@ -1,9 +1,10 @@
-"""The determinism linter: rules, suppressions, CLI and output formats.
+"""The determinism rules (RPR000..RPR006): the pass, CLI and output formats.
 
-The fixture file (``tests/data/simlint_fixture.py``) carries the expected
-outcome inline: every line tagged ``# expect: RPRxxx`` must produce exactly
-that unsuppressed finding, every ``# expect-suppressed: RPRxxx`` line a
-suppressed one, and no other line may produce anything.
+Every test copies its sources into a throwaway package tree and runs the
+passes ``python -m repro.analysis --check-all`` runs.  The fixture file
+(``tests/data/simlint_fixture.py``) carries the expected outcome inline:
+every line tagged ``# expect: RPRxxx`` must produce exactly that finding,
+and no other line may produce anything.
 """
 
 import re
@@ -13,42 +14,55 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis import RULES, lint_paths, lint_source
-from repro.analysis.linter import iter_python_files, rule_listing
+from repro.analysis.__main__ import main
+from repro.analysis.passes import run_project_passes
+from repro.analysis.rules import RULES
+
+from .test_simcheck import make_tree
 
 FIXTURE = Path(__file__).parent / "data" / "simlint_fixture.py"
-_EXPECT_RE = re.compile(r"#\s*expect(?P<sup>-suppressed)?:\s*(?P<rule>RPR\d{3})")
+_EXPECT_RE = re.compile(r"#\s*expect:\s*(?P<rule>RPR\d{3})")
+
+#: The per-module determinism rules; RPR000 (no parse) cannot be in the
+#: fixture, which must parse to exercise the others.
+DETERMINISM_RULES = {r for r in RULES if r.startswith("RPR00") and r != "RPR000"}
 
 
 def _expected_findings():
-    """(line, rule, suppressed) triples declared inline in the fixture."""
+    """(line, rule) pairs declared inline in the fixture."""
     expected = []
     for lineno, text in enumerate(FIXTURE.read_text().splitlines(), start=1):
         m = _EXPECT_RE.search(text)
         if m:
-            expected.append((lineno, m.group("rule"), bool(m.group("sup"))))
+            expected.append((lineno, m.group("rule")))
     return expected
 
 
+def _findings(tmp_path, source, name="core/mod.py"):
+    """Findings of every pass over a tree holding ``source`` as ``name``."""
+    _, findings = run_project_passes(make_tree(tmp_path, {name: source}))
+    return findings
+
+
 def test_fixture_declares_every_rule():
-    declared = {rule for _, rule, _ in _expected_findings()}
-    assert declared == set(RULES), (
+    declared = {rule for _, rule in _expected_findings()}
+    assert declared == DETERMINISM_RULES, (
         "fixture must exercise every rule ID exactly; missing "
-        f"{set(RULES) - declared}, unknown {declared - set(RULES)}"
+        f"{DETERMINISM_RULES - declared}, unknown {declared - DETERMINISM_RULES}"
     )
 
 
-def test_fixture_findings_match_inline_expectations():
-    report = lint_paths([str(FIXTURE)])
-    actual = sorted((f.line, f.rule_id, f.suppressed) for f in report.findings)
+def test_fixture_findings_match_inline_expectations(tmp_path):
+    findings = _findings(tmp_path, FIXTURE.read_text())
+    actual = sorted((f.line, f.rule_id) for f in findings)
     assert actual == sorted(_expected_findings())
 
 
-def test_good_examples_are_silent():
+def test_good_examples_are_silent(tmp_path):
     """Lines without an expect tag — the good examples — yield nothing."""
-    tagged = {line for line, _, _ in _expected_findings()}
-    report = lint_paths([str(FIXTURE)])
-    untagged = [f for f in report.findings if f.line not in tagged]
+    tagged = {line for line, _ in _expected_findings()}
+    findings = _findings(tmp_path, FIXTURE.read_text())
+    untagged = [f for f in findings if f.line not in tagged]
     assert untagged == []
 
 
@@ -63,10 +77,8 @@ def test_good_examples_are_silent():
         ("def f(xs=[]):\n    return xs\n", "RPR006"),
     ],
 )
-def test_minimal_bad_source_fires(source, rule):
-    findings = lint_source(source)
-    assert [f.rule_id for f in findings] == [rule]
-    assert not findings[0].suppressed
+def test_minimal_bad_source_fires(tmp_path, source, rule):
+    assert [f.rule_id for f in _findings(tmp_path, source)] == [rule]
 
 
 @pytest.mark.parametrize(
@@ -79,60 +91,36 @@ def test_minimal_bad_source_fires(source, rule):
         "def f(xs=None):\n    return xs or []\n",
     ],
 )
-def test_minimal_good_source_is_silent(source):
-    assert lint_source(source) == []
+def test_minimal_good_source_is_silent(tmp_path, source):
+    assert _findings(tmp_path, source) == []
 
 
-def test_syntax_error_reports_rpr000():
-    findings = lint_source("def broken(:\n", path="bad.py")
-    assert [f.rule_id for f in findings] == ["RPR000"]
-    assert findings[0].path == "bad.py"
+def test_syntax_error_reports_rpr000(tmp_path):
+    findings = _findings(tmp_path, "def broken(:\n", name="core/bad.py")
+    assert [(f.rule_id, f.line, f.col) for f in findings] == [("RPR000", 1, 11)]
+    assert findings[0].path.endswith("bad.py")
     assert "syntax error" in findings[0].message
 
 
-def test_suppression_comment_variants():
-    all_rules = "for x in {1, 2}:  # simlint: ignore\n    pass\n"
-    one_rule = "xs = sorted({1, 2})  # simlint: ignore[RPR002]\n"
-    wrong_rule = "xs = sorted({1, 2})  # simlint: ignore[RPR001]\n"
-    assert all(f.suppressed for f in lint_source(all_rules))
-    assert all(f.suppressed for f in lint_source(one_rule))
-    assert not any(f.suppressed for f in lint_source(wrong_rule))
-
-
-def test_format_is_path_line_col_rule():
-    (finding,) = lint_source("xs = sorted({1, 2})\n", path="src/x.py")
+def test_format_is_path_line_col_rule(tmp_path):
+    (finding,) = _findings(tmp_path, "xs = sorted({1, 2})\n")
     text = finding.format()
-    assert text.startswith("src/x.py:1:6: RPR002 ")
+    assert text.startswith(f"{finding.path}:1:6: RPR002 ")
     assert "(fix: " in text
 
 
-def test_github_annotation_format():
-    (finding,) = lint_source("xs = sorted({1, 2})\n", path="src/x.py")
+def test_github_annotation_format(tmp_path):
+    (finding,) = _findings(tmp_path, "xs = sorted({1, 2})\n")
     line = finding.format_github()
-    assert line.startswith("::error file=src/x.py,line=1,col=6,title=simlint RPR002::")
+    assert line.startswith(f"::error file={finding.path},line=1,col=6,title=simcheck RPR002::")
     assert "\n" not in line
 
 
-def test_rule_listing_covers_all_rules():
-    listing = rule_listing()
+def test_rule_listing_covers_all_rules(capsys):
+    assert main(["--list-rules"]) == 0
+    listing = capsys.readouterr().out
     for rule_id in RULES:
         assert rule_id in listing
-
-
-def test_iter_python_files_rejects_non_python():
-    with pytest.raises(FileNotFoundError):
-        iter_python_files([str(FIXTURE.with_suffix(".txt"))])
-
-
-# -- the repository gate -----------------------------------------------------
-
-def test_repo_tree_is_lint_clean():
-    """The acceptance gate: zero unsuppressed findings on src/repro."""
-    import repro
-
-    pkg_dir = Path(repro.__file__).parent
-    report = lint_paths([str(pkg_dir)])
-    assert report.ok, "\n".join(f.format() for f in report.unsuppressed)
 
 
 # -- CLI ---------------------------------------------------------------------
@@ -147,25 +135,22 @@ def _run_cli(*args, env=None):
 
 
 def test_cli_exits_nonzero_on_findings(tmp_path):
-    bad = tmp_path / "bad.py"
-    bad.write_text("import time\nt = time.time()\n")
-    proc = _run_cli("--lint", str(bad))
+    root = make_tree(tmp_path, {"core/bad.py": "import time\nt = time.time()\n"})
+    proc = _run_cli("--check-all", str(root))
     assert proc.returncode == 1
     assert "RPR004" in proc.stdout
 
 
 def test_cli_exits_zero_on_clean_tree(tmp_path):
-    good = tmp_path / "good.py"
-    good.write_text("x = sorted([2, 1])\n")
-    proc = _run_cli("--lint", str(good))
+    root = make_tree(tmp_path, {"core/good.py": "x = sorted([2, 1])\n"})
+    proc = _run_cli("--check-all", str(root))
     assert proc.returncode == 0
     assert "0 finding(s)" in proc.stdout
 
 
 def test_cli_github_flag_emits_annotations(tmp_path):
-    bad = tmp_path / "bad.py"
-    bad.write_text("k = id(object())\n")
-    proc = _run_cli("--lint", "--github", str(bad))
+    root = make_tree(tmp_path, {"core/bad.py": "k = id(object())\n"})
+    proc = _run_cli("--check-all", "--github", str(root))
     assert proc.returncode == 1
     assert "::error file=" in proc.stdout
 
@@ -173,3 +158,19 @@ def test_cli_github_flag_emits_annotations(tmp_path):
 def test_cli_usage_error_exit_code():
     proc = _run_cli("--bogus-flag")
     assert proc.returncode == 2
+
+
+def test_cli_reports_unparseable_module_beside_findings(tmp_path, capsys):
+    """A module that does not parse is an RPR000 finding, not a silent
+    gap: the rest of the tree is still checked."""
+    root = make_tree(
+        tmp_path,
+        {
+            "core/broken.py": "def broken(:\n    pass\n",
+            "core/clock.py": "import time\nt = time.time()\n",
+        },
+    )
+    assert main(["--check-all", str(root)]) == 1
+    out = capsys.readouterr().out
+    assert "broken.py:1:12: RPR000 syntax error" in out
+    assert "clock.py:2:5: RPR004" in out
